@@ -52,6 +52,24 @@ def work_counts(counts: Dict[str, float]) -> Dict[str, float]:
     }
 
 
+def agreement_problems(untraced: List[dict], traced: List[dict]) -> List[str]:
+    """Op ``i`` of both passes must report the same work counts."""
+    problems = []
+    for index, (a, b) in enumerate(zip(untraced, traced)):
+        wa, wb = work_counts(a), work_counts(b)
+        if wa != wb:
+            problems.append(f"op {index} work counts differ: untraced {wa}, traced {wb}")
+    return problems
+
+
+def describe_counts(op_counts: List[dict]) -> str:
+    """The first op's work counts, and whether every op repeated them."""
+    per_op = [work_counts(c) for c in op_counts]
+    text = ", ".join(f"{k} {v:g}" for k, v in per_op[0].items())
+    same = all(w == per_op[0] for w in per_op)
+    return f"{text} ({'every op' if same else 'op 0; ops differ'})"
+
+
 class Tracer:
     """Counts per op, and spans while ``timing`` is on."""
 

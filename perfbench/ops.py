@@ -57,7 +57,8 @@ SECTIONS = (
 
 
 def canonical_knobs(seed: int) -> Dict[str, Any]:
-    """``C`` at ``seed`` as a flat spec mapping, without the system axis.
+    """``C`` at ``seed`` as a flat spec mapping, without the system axis
+    (the one definition of ``C``; the grids sweep ``system``).
 
     The renderer is set explicitly: the explicit-knob set is part of a
     result's fingerprint and of its serialized provenance, and the
@@ -80,22 +81,10 @@ def canonical_knobs(seed: int) -> Dict[str, Any]:
 
 
 def canonical(seed: int):
-    """``C`` at ``seed`` through the fluent builder (one-off what-ifs)."""
+    """``C`` at ``seed`` as one Scenario builder (a one-off what-if)."""
     from repro import Scenario
 
-    return (
-        Scenario()
-        .system("frontier")
-        .node("A100")
-        .region("ESO")
-        .regions(["ESO", "CISO", "PJM"])
-        .policies(["carbon-oblivious", "temporal+geographic"])
-        .seed(seed)
-        .workload("synthetic", seed=WORKLOAD_SEED)
-        .training("BERT", epochs=3)
-        .upgrade("P100", "A100")
-        .cluster(16, simulator="carbon-aware")
-    )
+    return Scenario.from_spec(dict(canonical_knobs(seed), system="frontier"))
 
 
 def grid_spec(seed: int) -> Dict[str, Any]:
@@ -211,8 +200,9 @@ class Workload:
     """
 
     name = ""
-    #: Untimed ops run after ``prepare`` (see ``GridRerunWorkload``).
-    warmup_ops = 0
+    #: Untimed ops run after ``prepare``, so that lazy imports and the
+    #: process's first allocations are not timed.
+    warmup_ops = 1
 
     def __init__(self, seed: int, tmp: pathlib.Path) -> None:
         self.seed = seed
@@ -261,7 +251,7 @@ class ScenarioWorkload(Workload):
             if self.first_json is None:
                 self.first_json = text
             elif text != self.first_json:
-                problems.append("op 0 differs between the two passes")
+                problems.append("op 0 differs from an earlier run of op 0")
         return OpOutcome(1, problems, {})
 
     def final_checks(self):

@@ -123,7 +123,7 @@ def measure_setup(seed: int):
     return medians
 
 
-def run_ops(workload, tracer, seconds: float, modes, min_ops: int = 1):
+def run_ops(workload, tracer, seconds: float, modes, min_ops: int):
     """Closed-loop ops for ``seconds`` of wall time, at least ``min_ops``.
 
     Op ``k`` runs traced if ``modes[k % len(modes)]`` is true, as op
@@ -134,7 +134,7 @@ def run_ops(workload, tracer, seconds: float, modes, min_ops: int = 1):
     passes = [{"times": [], "cells": [], "counts": [], "failed": 0} for _ in modes]
     deadline = time.perf_counter() + seconds
     k = 0
-    while k < max(min_ops, len(modes)) or time.perf_counter() < deadline:
+    while k < min_ops or time.perf_counter() < deadline:
         index, which = divmod(k, len(modes))
         result = passes[which]
         tracer.timing = modes[which]
@@ -171,28 +171,6 @@ def tail(times):
     return TAIL_PERCENTILE, statistics.quantiles(times, n=100)[TAIL_PERCENTILE - 1]
 
 
-def agreement_problems(untraced, traced):
-    """Op ``i`` of both passes must report the same work counts."""
-    from layers import work_counts
-
-    problems = []
-    for index, (a, b) in enumerate(zip(untraced["counts"], traced["counts"])):
-        wa, wb = work_counts(a), work_counts(b)
-        if wa != wb:
-            problems.append(f"op {index} work counts differ: untraced {wa}, traced {wb}")
-    return problems
-
-
-def describe_counts(pass_result):
-    from layers import work_counts
-
-    per_op = [work_counts(c) for c in pass_result["counts"]]
-    first = per_op[0]
-    same = all(w == first for w in per_op)
-    text = ", ".join(f"{k} {v:g}" for k, v in first.items())
-    return f"{text} ({'every op' if same else 'op 0; ops differ'})"
-
-
 def run_one(args) -> int:
     from ops import WORKLOADS
 
@@ -221,7 +199,8 @@ def measure(args, workload_cls, sandbox) -> int:
     workload.prepare()
 
     warmup = run_ops(workload, tracer, 0.0, [False], min_ops=workload.warmup_ops)
-    passes = run_ops(workload, tracer, args.seconds, [False, True] if args.trace else [False])
+    modes = [False, True] if args.trace else [False]
+    passes = run_ops(workload, tracer, args.seconds, modes, min_ops=len(modes))
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     try:
@@ -229,10 +208,10 @@ def measure(args, workload_cls, sandbox) -> int:
     except Exception as exc:  # a failing check is a result, not a crash
         problems = [f"run-level checks raised {type(exc).__name__}: {exc}"]
     problems += sandbox_problems(sandbox)
-    if workload.warmup_ops and warmup[0]["failed"]:
+    if warmup[0]["failed"]:
         problems.append(f"{warmup[0]['failed']} warm-up ops failed")
     if args.trace:
-        problems += agreement_problems(*passes)
+        problems += layers.agreement_problems(*(p["counts"] for p in passes))
     attempted = sum(len(p["times"]) for p in passes)
     failed = sum(p["failed"] for p in passes)
     for problem in problems:
@@ -245,7 +224,8 @@ def measure(args, workload_cls, sandbox) -> int:
         "cells_per_s": sum(untraced["cells"]) / sum(untraced["times"]),
         "peak_rss_mb": peak_rss_mb,
     }
-    print_summary(workload.name, args.seed, untraced, e2e, failed, attempted)
+    print_summary(workload.name, args.seed, untraced, e2e, failed, attempted,
+                  layers.describe_counts(untraced["counts"]))
 
     if args.trace:
         traced = passes[1]
@@ -272,7 +252,7 @@ def measure(args, workload_cls, sandbox) -> int:
     return 0
 
 
-def print_summary(name, seed, untraced, e2e, failed, attempted) -> None:
+def print_summary(name, seed, untraced, e2e, failed, attempted, work) -> None:
     """Every end-to-end metric by name and unit, plus the printed-only ones."""
     times = untraced["times"]
     print(f"workload {name}, seed {seed}: {len(times)} ops in {sum(times):.1f} s "
@@ -286,7 +266,7 @@ def print_summary(name, seed, untraced, e2e, failed, attempted) -> None:
     else:
         print(f"  {'op_tail_s':<16} {'-':>12}    (fewer than {TAIL_MIN_OPS} ops)")
     print(f"  {'failed_ops_frac':<16} {failed / attempted:12.4f}")
-    print(f"  work per op: {describe_counts(untraced)}")
+    print(f"  work per op: {work}")
 
 
 def layer_unit(name: str) -> str:
