@@ -200,9 +200,8 @@ class Workload:
     """
 
     name = ""
-    #: Untimed ops run after ``prepare``, so that lazy imports and the
-    #: process's first allocations are not timed.
-    warmup_ops = 1
+    #: Untimed ops run after ``prepare`` (see ``GridRerunWorkload``).
+    warmup_ops = 0
 
     def __init__(self, seed: int, tmp: pathlib.Path) -> None:
         self.seed = seed
