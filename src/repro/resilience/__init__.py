@@ -1,16 +1,17 @@
 """Fault-tolerant sweep execution: retries, timeouts, resume, chaos.
 
-The :mod:`repro.resilience` layer wraps the sweep executors with the
-machinery long campaigns need on real infrastructure:
+The :mod:`repro.resilience` layer defines the machinery every sweep
+executor engine (:mod:`repro.session.executors`) runs its units under,
+which long campaigns need on real infrastructure:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff,
   deterministic seeded jitter, and per-attempt wall-clock timeouts;
 * :class:`CellFailure` — the structured record a unit leaves behind
   when its whole retry budget is exhausted, instead of an exception
   aborting the campaign;
-* :func:`run_resilient` — per-unit isolation over the registered
-  executors, with process-pool crash detection, bounded pool rebuilds,
-  and re-dispatch of only the unfinished units;
+* :func:`run_resilient` — a thin call onto a registered executor
+  engine: per-unit isolation, with process-pool crash detection,
+  bounded pool rebuilds, and re-dispatch of only the unfinished units;
 * :class:`SweepJournal` — the append-only JSONL checkpoint behind
   ``repro-hpc sweep run --resume``;
 * the ``faults`` registry kind (:class:`NoFaults`,

@@ -1,58 +1,37 @@
-"""Resilient unit execution: isolate, retry, time out, rebuild.
+"""Resilient unit execution: the vocabulary and the entry point.
 
-:func:`run_resilient` is the fault-tolerant twin of handing a work-unit
-list straight to an ``executor`` backend.  Every unit runs under a
-:class:`~repro.resilience.policy.RetryPolicy` with a fault injector at
-the execution boundary, and failures come back as structured
-:class:`~repro.resilience.policy.CellFailure` values instead of
-propagating:
+Every sweep runs its work units through one of the ``executor`` engines
+in :mod:`repro.session.executors`; this module defines what those
+engines consume and produce:
 
-* **serial** — units run in-process, one attempt loop each; the
-  per-attempt deadline is enforced with a real ``SIGALRM`` interval
-  timer where available (main thread, POSIX) and degrades to a
-  post-hoc elapsed check elsewhere.  Injected ``crash`` actions
-  degrade to raised :class:`~repro.resilience.faults.InjectedFault`
-  errors — killing the only process would abort the host, not simulate
-  a lost worker.
-* **process / shared** — each unit is submitted *individually* to a
-  ``ProcessPoolExecutor`` (per-unit isolation, unlike the chunked fast
-  path), attempts retry inside the worker, and an injected ``crash``
-  is a real ``os._exit``.  When the pool breaks
-  (:class:`~concurrent.futures.process.BrokenProcessPool` — an
-  OOM-killed or segfaulted worker), the parent rebuilds it — re-warming
-  trace memos and re-attaching the
-  :class:`~repro.sweep.store.SharedTraceStore` exactly as the original
-  initializer did — and re-dispatches only the unfinished units, each
-  crash consuming one attempt.  A bounded rebuild budget
-  (``max_rebuilds``) turns a crash *storm* into a typed
-  :class:`~repro.core.errors.ResilienceError` instead of an infinite
-  rebuild loop.
-* **any other executor key** — the registered engine runs one unit at
-  a time under the parent-side attempt loop (retry still applies;
-  crashes degrade as in serial).
+* :class:`ResilientUnit` — one deduplicated work unit (the item to run,
+  the grid cells it serves, its fingerprint);
+* :class:`UnitOutcome` — how one unit ended: a result, or a structured
+  :class:`~repro.resilience.policy.CellFailure` after its whole retry
+  budget (plus the exception that ended its last attempt, when it could
+  be carried home);
+* :class:`ResilientRun` — every outcome of one pass, in unit order,
+  plus the number of process-pool rebuilds it took.
 
-Completed units are reported through ``on_unit_done`` *as they settle*,
-so the caller can journal checkpoints and write back cache entries
-before a later crash can lose them.  Workers return
-``(fingerprint, result)`` payloads — the fingerprint read off the
-result they just computed — so the parent's cache write never has to
-recompute one.
+:func:`run_resilient` is a thin call onto a registered engine.  Units
+run under a :class:`~repro.resilience.policy.RetryPolicy` (retries,
+backoff, per-attempt deadline) with a fault injector consulted at the
+start of every attempt; failures settle as ``CellFailure`` values
+instead of propagating, and completions are reported through
+``on_unit_done`` *as they settle*, so a caller can journal checkpoints
+before a later crash can lose them.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import signal
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ResilienceError
-from repro.resilience.faults import InjectedFault, NoFaults
 from repro.resilience.policy import CellFailure, RetryPolicy
 
 __all__ = [
@@ -66,12 +45,6 @@ __all__ = [
 
 #: Pool rebuilds tolerated per run before surfacing ResilienceError.
 DEFAULT_MAX_REBUILDS = 3
-
-#: The exit code injected crashes die with (distinguishable in logs).
-CRASH_EXIT_CODE = 77
-
-#: Parent-side slack added to the per-unit backstop deadline.
-_BACKSTOP_SLACK_S = 30.0
 
 
 class UnitTimeout(Exception):
@@ -104,6 +77,12 @@ class UnitOutcome:
     attempts: int
     #: Worker-reported fingerprint (falls back to the planner's).
     fingerprint: Optional[str]
+    #: The exception that ended the last attempt of a failed unit;
+    #: ``None`` for crashes and for exceptions that cannot be pickled
+    #: home from a pool worker.
+    error: Optional[BaseException] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -116,6 +95,22 @@ class ResilientRun:
 
     outcomes: Tuple[UnitOutcome, ...]
     rebuilds: int
+
+    def raise_first_failure(self) -> None:
+        """Re-raise the first failed unit's exception, if any failed.
+
+        The plain-run contract: with no retry budget, no faults and no
+        journal, a cell that raises aborts the caller with the same
+        exception type and message it would raise when run alone.  A
+        failure without a carried exception (a worker crash) raises a
+        :class:`~repro.core.errors.ResilienceError` with its summary.
+        """
+        for outcome in self.outcomes:
+            if outcome.ok:
+                continue
+            if outcome.error is not None:
+                raise outcome.error
+            raise ResilienceError(outcome.failure.summary())
 
 
 # --- deadline enforcement ---------------------------------------------------
@@ -155,396 +150,6 @@ def _attempt_deadline(timeout_s: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-# --- the attempt loop (shared by parent and pool workers) -------------------
-def _default_run(item) -> Any:
-    from repro.session.executors import _run_one
-
-    return _run_one(item)
-
-
-def _attempt_once(
-    item,
-    *,
-    token: str,
-    index: int,
-    attempt: int,
-    injector,
-    timeout_s: Optional[float],
-    allow_crash: bool,
-    run: Callable[[Any], Any],
-):
-    action = injector.action(token=token, index=index, attempt=attempt)
-    with _attempt_deadline(timeout_s):
-        if action is not None:
-            if action.kind == "delay":
-                time.sleep(action.delay_s)
-            elif action.kind == "crash" and allow_crash:
-                # A real lost worker: no cleanup, no exception — the
-                # parent only ever sees BrokenProcessPool.
-                os._exit(CRASH_EXIT_CODE)
-            elif action.kind in ("crash", "error"):
-                raise InjectedFault(
-                    f"injected {action.kind} (unit {index}, attempt {attempt})"
-                )
-        result = run(item)
-        if action is not None and action.kind == "corrupt":
-            # The unit computed, but its payload is "lost in flight".
-            raise InjectedFault(
-                f"injected result corruption (unit {index}, attempt {attempt})"
-            )
-    return result
-
-
-def _run_unit_attempts(
-    item,
-    *,
-    token: str,
-    index: int,
-    indices: Tuple[int, ...],
-    name: str,
-    fingerprint: Optional[str],
-    policy: RetryPolicy,
-    injector,
-    first_attempt: int = 1,
-    allow_crash: bool = False,
-    run: Callable[[Any], Any] = _default_run,
-) -> Dict[str, Any]:
-    """Run attempts ``first_attempt..max_attempts``; never raises.
-
-    Returns a picklable payload: ``{"status": "ok", "result", "attempts",
-    "fingerprint"}`` or ``{"status": "failed", "failure", "attempts"}``.
-    """
-    last_exc: Optional[BaseException] = None
-    for attempt in range(first_attempt, policy.max_attempts + 1):
-        if attempt > first_attempt:
-            delay = policy.delay_s(attempt=attempt, token=token)
-            if delay > 0.0:
-                time.sleep(delay)
-        try:
-            result = _attempt_once(
-                item,
-                token=token,
-                index=index,
-                attempt=attempt,
-                injector=injector,
-                timeout_s=policy.unit_timeout_s,
-                allow_crash=allow_crash,
-                run=run,
-            )
-        except Exception as exc:  # KeyboardInterrupt/SystemExit propagate
-            last_exc = exc
-            continue
-        return {
-            "status": "ok",
-            "result": result,
-            "attempts": attempt,
-            "fingerprint": getattr(result, "provenance_hash", None)
-            or fingerprint,
-        }
-    assert last_exc is not None
-    kind = "timeout" if isinstance(last_exc, UnitTimeout) else "error"
-    return {
-        "status": "failed",
-        "failure": CellFailure.from_exception(
-            last_exc,
-            index=index,
-            indices=indices,
-            name=name,
-            fingerprint=fingerprint,
-            attempts=policy.max_attempts - first_attempt + 1,
-            kind=kind,
-        ),
-        "attempts": policy.max_attempts - first_attempt + 1,
-    }
-
-
-def _pooled_unit(payload: Tuple) -> Dict[str, Any]:
-    """The per-unit pool task (module-level for pickling)."""
-    item, token, index, indices, name, fingerprint, policy, injector, first = (
-        payload
-    )
-    return _run_unit_attempts(
-        item,
-        token=token,
-        index=index,
-        indices=indices,
-        name=name,
-        fingerprint=fingerprint,
-        policy=policy,
-        injector=injector,
-        first_attempt=first,
-        allow_crash=True,
-    )
-
-
-# --- engines ----------------------------------------------------------------
-def _settle(
-    unit: ResilientUnit,
-    payload: Dict[str, Any],
-    on_unit_done,
-) -> UnitOutcome:
-    if payload["status"] == "ok":
-        outcome = UnitOutcome(
-            unit=unit,
-            result=payload["result"],
-            failure=None,
-            attempts=payload["attempts"],
-            fingerprint=payload.get("fingerprint") or unit.fingerprint,
-        )
-    else:
-        outcome = UnitOutcome(
-            unit=unit,
-            result=None,
-            failure=payload["failure"],
-            attempts=payload["attempts"],
-            fingerprint=unit.fingerprint,
-        )
-    if on_unit_done is not None:
-        on_unit_done(outcome)
-    return outcome
-
-
-def _run_serial(
-    units: Sequence[ResilientUnit],
-    *,
-    policy: RetryPolicy,
-    injector,
-    on_unit_done,
-    run: Callable[[Any], Any] = _default_run,
-) -> ResilientRun:
-    outcomes = []
-    for unit in units:
-        payload = _run_unit_attempts(
-            unit.item,
-            token=unit.token,
-            index=unit.index,
-            indices=unit.indices,
-            name=unit.name,
-            fingerprint=unit.fingerprint,
-            policy=policy,
-            injector=injector,
-            allow_crash=False,
-            run=run,
-        )
-        outcomes.append(_settle(unit, payload, on_unit_done))
-    return ResilientRun(outcomes=tuple(outcomes), rebuilds=0)
-
-
-def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool's worker processes (interrupt / hung-worker path)."""
-    from repro.session.executors import _terminate_pool_workers
-
-    _terminate_pool_workers(pool)
-
-
-def _crash_failure(unit: ResilientUnit, attempts: int) -> CellFailure:
-    return CellFailure(
-        index=unit.index,
-        indices=unit.indices,
-        name=unit.name,
-        fingerprint=unit.fingerprint,
-        kind="crash",
-        error_type="BrokenProcessPool",
-        message=(
-            "worker process died (crash/OOM); retry budget exhausted"
-        ),
-        attempts=attempts,
-        digest="",
-    )
-
-
-def _run_pooled(
-    units: Sequence[ResilientUnit],
-    *,
-    policy: RetryPolicy,
-    injector,
-    max_workers: int,
-    shared: bool,
-    store_dir,
-    max_rebuilds: int,
-    on_unit_done,
-) -> ResilientRun:
-    from repro.session.executors import (
-        _attach_store_worker,
-        _sweep_seeds,
-        _warm_worker,
-    )
-
-    seeds = _sweep_seeds([unit.item for unit in units])
-    if shared:
-        from repro.sweep.store import SharedTraceStore
-
-        store = SharedTraceStore(store_dir)
-        for seed in seeds:
-            # Parent-side pre-warm (mirrors the shared fast path): files
-            # exist before any worker forks, so workers mmap-attach.
-            store.ensure_traces(seed=seed)
-        initializer: Callable = _attach_store_worker
-        initargs: Tuple = (str(store.directory), seeds)
-    else:
-        initializer, initargs = _warm_worker, (seeds,)
-
-    workers = max(1, min(int(max_workers), len(units)))
-
-    def _make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
-        )
-
-    #: Next first_attempt per unit index (crashes consume attempts).
-    next_attempt: Dict[int, int] = {unit.index: 1 for unit in units}
-    settled: Dict[int, UnitOutcome] = {}
-    pending: List[ResilientUnit] = list(units)
-    rebuilds = 0
-    stuck = False  # a worker blew through the parent-side backstop
-    if policy.unit_timeout_s is not None:
-        backstop = (
-            policy.max_attempts
-            * (
-                policy.unit_timeout_s
-                + policy.delay_s(attempt=policy.max_attempts, token="")
-            )
-            + _BACKSTOP_SLACK_S
-        )
-    else:
-        backstop = None
-
-    pool = _make_pool()
-    try:
-        while pending:
-            futures: List[Tuple[Future, ResilientUnit]] = [
-                (
-                    pool.submit(
-                        _pooled_unit,
-                        (
-                            unit.item,
-                            unit.token,
-                            unit.index,
-                            unit.indices,
-                            unit.name,
-                            unit.fingerprint,
-                            policy,
-                            injector,
-                            next_attempt[unit.index],
-                        ),
-                    ),
-                    unit,
-                )
-                for unit in pending
-            ]
-            pending = []
-            to_redispatch: List[ResilientUnit] = []
-            for future, unit in futures:
-                try:
-                    payload = future.result(timeout=backstop)
-                except BrokenExecutor:
-                    to_redispatch.append(unit)
-                except FutureTimeoutError:
-                    # A worker hung past every in-worker deadline: give
-                    # up on the unit and poison the pool for teardown.
-                    stuck = True
-                    future.cancel()
-                    failure = CellFailure(
-                        index=unit.index,
-                        indices=unit.indices,
-                        name=unit.name,
-                        fingerprint=unit.fingerprint,
-                        kind="timeout",
-                        error_type="TimeoutError",
-                        message=(
-                            f"worker unresponsive past the {backstop:g}s "
-                            "parent-side backstop"
-                        ),
-                        attempts=policy.max_attempts,
-                        digest="",
-                    )
-                    settled[unit.index] = _settle(
-                        unit,
-                        {
-                            "status": "failed",
-                            "failure": failure,
-                            "attempts": policy.max_attempts,
-                        },
-                        on_unit_done,
-                    )
-                else:
-                    settled[unit.index] = _settle(unit, payload, on_unit_done)
-            if to_redispatch:
-                rebuilds += 1
-                if rebuilds > max_rebuilds:
-                    names = ", ".join(u.name for u in to_redispatch)
-                    raise ResilienceError(
-                        f"process pool broke {rebuilds} times (budget "
-                        f"{max_rebuilds}); giving up on unfinished units: "
-                        f"{names}"
-                    )
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = _make_pool()
-                for unit in to_redispatch:
-                    # One attempt consumed per pool break: the parent
-                    # cannot see which in-flight unit crashed, so every
-                    # re-dispatched unit is charged one.
-                    next_attempt[unit.index] += 1
-                    if next_attempt[unit.index] > policy.max_attempts:
-                        settled[unit.index] = _settle(
-                            unit,
-                            {
-                                "status": "failed",
-                                "failure": _crash_failure(
-                                    unit, policy.max_attempts
-                                ),
-                                "attempts": policy.max_attempts,
-                            },
-                            on_unit_done,
-                        )
-                    else:
-                        pending.append(unit)
-    except BaseException as exc:
-        # Interrupts must not leave queued units grinding in zombie
-        # workers: hard-stop the workers first (shutdown drops the
-        # process table), then cancel everything not started.
-        if not isinstance(exc, Exception):
-            _terminate_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    else:
-        if stuck:
-            _terminate_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    outcomes = tuple(settled[unit.index] for unit in units)
-    return ResilientRun(outcomes=outcomes, rebuilds=rebuilds)
-
-
-def _run_foreign(
-    units: Sequence[ResilientUnit],
-    *,
-    engine,
-    policy: RetryPolicy,
-    injector,
-    on_unit_done,
-) -> ResilientRun:
-    """Per-unit retry around an arbitrary registered executor."""
-
-    def run(item):
-        results = list(engine([item]))
-        if len(results) != 1:
-            raise ResilienceError(
-                f"executor returned {len(results)} results for one unit"
-            )
-        return results[0]
-
-    return _run_serial(
-        units,
-        policy=policy,
-        injector=injector,
-        on_unit_done=on_unit_done,
-        run=run,
-    )
-
-
 # --- entry point ------------------------------------------------------------
 def run_resilient(
     units: Sequence[ResilientUnit],
@@ -558,49 +163,17 @@ def run_resilient(
 ) -> ResilientRun:
     """Run work units fault-tolerantly through an executor backend.
 
-    ``executor`` is an ``executor`` registry key; the built-in pooled
-    engines (``process``/``shared`` and their aliases) get per-unit
-    isolation with crash recovery, everything else runs under the
-    parent-side attempt loop.  ``on_unit_done(outcome)`` fires as each
-    unit settles, in dispatch order.
+    ``executor`` is an ``executor`` registry key and ``executor_opts``
+    its factory options; the engine it builds runs every unit.
+    ``on_unit_done(outcome)`` fires as each unit settles.
     """
-    units = list(units)
-    if not units:
-        return ResilientRun(outcomes=(), rebuilds=0)
-    if int(max_rebuilds) < 0:
-        raise ResilienceError(
-            f"max_rebuilds must be >= 0, got {max_rebuilds!r}"
-        )
-    policy = RetryPolicy.coerce(policy)
-    injector = injector if injector is not None else NoFaults()
-    opts = dict(executor_opts or {})
-
-    from repro.session import executors as _executors
     from repro.session.registry import resolve_backend
 
-    factory = resolve_backend("executor", executor)
-    if factory is _executors.serial_executor:
-        return _run_serial(
-            units, policy=policy, injector=injector, on_unit_done=on_unit_done
-        )
-    if factory in (_executors.process_executor, _executors.shared_executor):
-        shared = factory is _executors.shared_executor
-        max_workers = opts.get("max_workers") or os.cpu_count() or 1
-        return _run_pooled(
-            units,
-            policy=policy,
-            injector=injector,
-            max_workers=int(max_workers),
-            shared=shared,
-            store_dir=opts.get("store_dir"),
-            max_rebuilds=int(max_rebuilds),
-            on_unit_done=on_unit_done,
-        )
-    engine = factory(**opts)
-    return _run_foreign(
+    engine = resolve_backend("executor", executor)(**dict(executor_opts or {}))
+    return engine(
         units,
-        engine=engine,
         policy=policy,
         injector=injector,
+        max_rebuilds=max_rebuilds,
         on_unit_done=on_unit_done,
     )

@@ -69,11 +69,19 @@ calling conventions, per kind:
 ``report``
     ``factory() -> str`` — a whole-corpus report (EXPERIMENTS.md).
 ``executor``
-    ``factory(**opts) -> callable(items) -> list[ScenarioResult]`` — a
-    sweep engine for :meth:`Session.run_many` (see
-    :mod:`repro.session.executors`).  ``serial``, ``process``, and
-    ``shared`` ship built-in; the parallel engines take ``max_workers``
-    and ``chunk_size``, and ``shared`` additionally ``store_dir``.
+    ``factory(**opts) -> engine`` — the engine every sweep runs through
+    (:meth:`Session.run_many`, ``SweepService.run``, ``run_resilient``):
+    ``engine(units, *, policy=None, injector=None, max_rebuilds=3,
+    on_unit_done=None) -> ResilientRun`` runs each
+    :class:`~repro.resilience.ResilientUnit` under the attempt loop
+    (retries, per-attempt deadline, fault injection), settles failures
+    as :class:`~repro.resilience.CellFailure` values instead of
+    raising, calls ``on_unit_done(outcome)`` as each unit settles, and
+    returns one outcome per unit in input order (see
+    :mod:`repro.session.executors`).  An empty unit list must touch no
+    disk.  ``serial``, ``process``, and ``shared`` ship built-in; the
+    pooled engines take ``max_workers``, and ``shared`` additionally
+    ``store_dir``.
 ``faults``
     ``factory(**opts) -> injector`` — a deterministic fault injector
     for chaos-testing resilient sweeps, exposing ``action(*, token,

@@ -411,30 +411,22 @@ class Scenario:
         return self._set("accounting", str(key))
 
     def executor(
-        self,
-        key: str,
-        *,
-        max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
+        self, key: str, *, max_workers: Optional[int] = None
     ) -> "Scenario":
         """``executor`` registry key for :meth:`Session.run_many` sweeps.
 
         ``"serial"`` (default) runs scenarios in-process;
-        ``"process"`` fans chunks of scenarios out to a process pool of
-        ``max_workers`` workers with warmed trace memos.  The first
-        swept scenario carrying an explicit executor picks the engine
-        for the whole sweep; an explicit ``executor=`` argument to
-        ``run_many`` wins over any scenario knob.
+        ``"process"`` submits each scenario as its own unit to a process
+        pool of ``max_workers`` workers with warmed trace memos.  The
+        first swept scenario carrying an explicit executor picks the
+        engine for the whole sweep; an explicit ``executor=`` argument
+        to ``run_many`` wins over any scenario knob.
         """
         if max_workers is not None and int(max_workers) < 1:
             raise SessionError(f"max_workers must be >= 1, got {max_workers!r}")
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise SessionError(f"chunk_size must be >= 1, got {chunk_size!r}")
         opts: dict = {}
         if max_workers is not None:
             opts["max_workers"] = int(max_workers)
-        if chunk_size is not None:
-            opts["chunk_size"] = int(chunk_size)
         self._executor_opts = opts
         return self._set("executor", str(key))
 

@@ -995,7 +995,9 @@ class Session:
         ``process`` executor warms the same memo once per worker).
         Results come back in input order; each scenario still gets its
         own freshly seeded forecast stream, so a batch run of a scenario
-        equals its standalone run — with any executor.
+        equals its standalone run — with any executor.  A scenario that
+        raises aborts the batch with its own exception once the engine
+        has settled every unit.
 
         The engine resolves from the ``executor`` registry kind:
         ``executor=`` here wins, else the first swept Scenario with an
@@ -1023,8 +1025,21 @@ class Session:
             key = "serial"
         if max_workers is not None:
             opts["max_workers"] = int(max_workers)
-        sweep = resolve_backend("executor", key)(**opts)
-        return list(sweep(items))
+        from repro.resilience.runner import ResilientUnit
+
+        units = [
+            ResilientUnit(
+                item=item,
+                index=index,
+                indices=(index,),
+                name=type(item).__name__,
+                fingerprint=None,
+            )
+            for index, item in enumerate(items)
+        ]
+        run = resolve_backend("executor", key)(**opts)(units)
+        run.raise_first_failure()
+        return [outcome.result for outcome in run.outcomes]
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

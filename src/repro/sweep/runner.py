@@ -11,26 +11,25 @@ still deduplicated) are thin factory variants.  A run is:
    (:func:`repro.sweep.planner.plan_sweep`);
 3. **look up** — each cacheable unit checks the provenance-keyed
    :class:`~repro.sweep.cache.ResultCache` first;
-4. **run** — remaining units flow through a registry ``executor``
-   (serial by default; ``process``/``shared`` fan out) exactly the way
-   :meth:`Session.run_many` dispatches, so serial sweep results are
+4. **run** — the remaining units go, in one call, to the engine the
+   ``executor`` registry builds (serial by default; ``process`` /
+   ``shared`` fan out one future per unit), the same engines
+   :meth:`Session.run_many` runs through, so serial sweep results are
    byte-identical to ``run_many``'s output;
-5. **cache** — fresh results are written back under their fingerprints.
+5. **cache** — fresh results are written back under their fingerprints
+   once the pass is over.
 
-The returned :class:`SweepOutcome` carries results in input order plus
-the hit/miss/evict/error stats the run generated.
-
-When any resilience knob is active — a retry budget, a per-attempt
-timeout, a fault injector, a checkpoint journal, or a resume — step 4
-runs through :func:`repro.resilience.run_resilient` instead of the
-plain executor: units are isolated (a failing cell yields a
-:class:`~repro.resilience.CellFailure` instead of aborting the
-campaign), worker crashes rebuild the pool and re-dispatch only the
-unfinished units, and every completion is journaled so a later
-``resume=`` run recomputes nothing already finished.  The run then
-returns a :class:`SweepReport` (a :class:`SweepOutcome` subclass)
-carrying the failures alongside the results; with no resilience knobs
-the legacy exact path is untouched.
+Every unit runs under the engine's attempt loop (see
+:mod:`repro.session.executors`).  The resilience knobs — a retry budget,
+a per-attempt timeout, a fault injector, a checkpoint journal, a resume,
+a rebuild budget — configure that loop: units are isolated (a failing
+cell yields a :class:`~repro.resilience.CellFailure` in the returned
+:class:`SweepReport` instead of aborting the campaign), worker crashes
+rebuild the pool and re-dispatch only the unfinished units, and every
+completion is cached and then journaled as it settles, so a later
+``resume=`` run recomputes nothing already finished.  With none of
+those knobs set, a cell that raises aborts the run with its own
+exception once the pass is over, exactly as it would when run alone.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.core.errors import ResilienceError, SweepError
 from repro.resilience.journal import SweepJournal
 from repro.resilience.policy import CellFailure, RetryPolicy
+from repro.resilience.runner import DEFAULT_MAX_REBUILDS, ResilientUnit
 from repro.session.fingerprint import RESULT_SECTIONS
 from repro.session.registry import resolve_backend
 from repro.session.result import ScenarioResult
@@ -190,7 +190,7 @@ def _coerce_injector(value):
 
 
 #: Per-process readonly caches pooled delta workers open, memoized by
-#: directory so a chunked worker reuses one memory tier across units.
+#: directory so a worker reuses one memory tier across its units.
 _WORKER_CACHES: Dict[str, ResultCache] = {}
 
 
@@ -207,26 +207,22 @@ class _DeltaItem:
     """A work-unit wrapper that routes execution through the delta path.
 
     Executors treat it like a Session (it exposes ``run()`` and a
-    ``_scenario`` for seed warming).  Inline (serial) items hold the
-    service's live cache and write fresh sections back immediately, so
-    later cells in the same pass reuse them; pooled items drop the live
-    cache on pickling, reopen the directory readonly in the worker, and
-    ship fresh sections home on ``result.fresh_sections`` for the
-    parent to absorb.
+    ``_scenario`` for seed warming).  Run in the parent process, it
+    holds the service's live cache and writes fresh sections back
+    immediately, so later cells in the same pass reuse them, and marks
+    itself ``ran_inline``.  A copy pickled into a pool worker drops the
+    live cache, reopens the directory readonly, and ships fresh sections
+    home on ``result.fresh_sections`` for the parent to absorb.
     """
 
     def __init__(
-        self,
-        item: Union[Scenario, Session],
-        *,
-        cache: Optional[ResultCache],
-        cache_dir: Optional[pathlib.Path],
-        writeback: bool,
+        self, item: Union[Scenario, Session], *, cache: ResultCache, writeback: bool
     ) -> None:
         self._item = item
-        self._cache = cache
-        self._cache_dir = cache_dir
+        self._cache: Optional[ResultCache] = cache
+        self._cache_dir = cache.cache_dir
         self._writeback = bool(writeback)
+        self.ran_inline = False
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
@@ -244,17 +240,13 @@ class _DeltaItem:
             if isinstance(self._item, Scenario)
             else self._item
         )
-        reuse = self._cache
-        if reuse is None and self._cache_dir is not None:
-            reuse = _worker_cache(self._cache_dir)
-        if reuse is None:
-            return session.run()
-        result = session.run(reuse=reuse)
-        if (
-            self._cache is not None
-            and self._writeback
-            and result.fresh_sections
-        ):
+        if self._cache is None:
+            if self._cache_dir is None:
+                return session.run()  # a memory-only cache stays home
+            return session.run(reuse=_worker_cache(self._cache_dir))
+        self.ran_inline = True
+        result = session.run(reuse=self._cache)
+        if self._writeback and result.fresh_sections:
             for name, (fp, payload) in result.fresh_sections.items():
                 self._cache.put_section(name, fp, payload)
         return result
@@ -273,7 +265,7 @@ class SweepService:
         with ``disk=False`` keeps the cache memory-only.
     disk:
         ``False`` skips the on-disk tier (memory LRU only).
-    executor / max_workers / chunk_size:
+    executor / max_workers:
         Default execution engine for :meth:`run`; per-call arguments and
         swept scenarios' explicit ``executor`` knobs override it the
         same way :meth:`Session.run_many` resolves engines.
@@ -303,7 +295,6 @@ class SweepService:
         memory_slots: Optional[int] = None,
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         retry: Union[RetryPolicy, Mapping[str, Any], int, None] = None,
         faults: Any = None,
         max_rebuilds: Optional[int] = None,
@@ -330,7 +321,6 @@ class SweepService:
         self._delta = (self._cache is not None) if delta is None else bool(delta)
         self._executor = executor
         self._max_workers = max_workers
-        self._chunk_size = chunk_size
         self._retry = retry
         self._faults = faults
         self._max_rebuilds = max_rebuilds
@@ -439,8 +429,6 @@ class SweepService:
         workers = max_workers if max_workers is not None else self._max_workers
         if workers is not None:
             opts["max_workers"] = int(workers)
-        if self._chunk_size is not None:
-            opts.setdefault("chunk_size", int(self._chunk_size))
         return key, opts
 
     #: ``resilience``-section keys that configure the RetryPolicy.
@@ -472,8 +460,9 @@ class SweepService:
         ``journal`` appends every completed unit's fingerprint to a
         JSONL checkpoint; ``resume`` skips units already journaled
         ``done`` (and journals new completions to the same file unless
-        ``journal`` points elsewhere).  With no resilience knob active,
-        execution takes the exact legacy path.
+        ``journal`` points elsewhere).  With none of these knobs set, a
+        failed cell re-raises its exception after the pass (and after
+        the other cells' results are cached) instead of being reported.
 
         ``delta`` overrides the service default: units that miss the
         whole-result cache assemble from cached section payloads and
@@ -519,7 +508,7 @@ class SweepService:
             else bool(cache_writeback)
         )
         journal_path = journal if journal is not None else resume
-        resilient = (
+        fail_fast = not (
             policy.active
             or injector is not None
             or journal_path is not None
@@ -570,41 +559,10 @@ class SweepService:
         key = "none"
         failures: List[CellFailure] = []
         n_rebuilds = 0
-        if to_run and not resilient:
-            # The exact legacy path: one executor pass, chunked engines.
+        if to_run:
             key, opts = self._resolve_executor(items, executor, max_workers)
-            run_items, delta_inline = self._wrap_items(
-                [unit.item for unit in to_run], use_delta, key, writeback
-            )
-            engine = resolve_backend("executor", key)(**opts)
-            fresh = list(engine(run_items))
-            if len(fresh) != len(to_run):
-                raise SweepError(
-                    f"executor {key!r} returned {len(fresh)} results for "
-                    f"{len(to_run)} work units"
-                )
-            for unit, result in zip(to_run, fresh):
-                for index in unit.indices:
-                    results[index] = result
-                if (
-                    self._cache is not None
-                    and writeback
-                    and unit.fingerprint is not None
-                ):
-                    self._cache.put(unit.fingerprint, result)
-                if use_delta and not delta_inline:
-                    self._absorb_sections(result, writeback)
-        elif to_run:
-            from repro.resilience import (
-                DEFAULT_MAX_REBUILDS,
-                NoFaults,
-                ResilientUnit,
-                run_resilient,
-            )
-
-            key, opts = self._resolve_executor(items, executor, max_workers)
-            run_items, delta_inline = self._wrap_items(
-                [unit.item for unit in to_run], use_delta, key, writeback
+            run_items = self._wrap_items(
+                [unit.item for unit in to_run], use_delta, writeback
             )
             units = [
                 ResilientUnit(
@@ -617,21 +575,24 @@ class SweepService:
                 for unit, run_item in zip(to_run, run_items)
             ]
 
+            def _write_back(outcome) -> None:
+                if (
+                    self._cache is not None
+                    and writeback
+                    and outcome.fingerprint is not None
+                ):
+                    self._cache.put(outcome.fingerprint, outcome.result)
+                if use_delta and not outcome.unit.item.ran_inline:
+                    self._absorb_sections(outcome.result, writeback)
+
             def _on_unit_done(outcome) -> None:
-                # Fired as each unit settles, so a later crash cannot
-                # lose completions already cached and journaled.
                 if outcome.ok:
                     for index in outcome.unit.indices:
                         results[index] = outcome.result
-                    if (
-                        self._cache is not None
-                        and writeback
-                        and outcome.fingerprint is not None
-                    ):
-                        self._cache.put(outcome.fingerprint, outcome.result)
-                    if use_delta and not delta_inline:
-                        self._absorb_sections(outcome.result, writeback)
                     if journal_obj is not None:
+                        # resume serves journaled units from the cache,
+                        # so cache before journaling, as each settles.
+                        _write_back(outcome)
                         journal_obj.record_done(
                             outcome.fingerprint, name=outcome.unit.name
                         )
@@ -640,12 +601,11 @@ class SweepService:
                     if journal_obj is not None:
                         journal_obj.record_failed(outcome.failure)
 
-            resilient_run = run_resilient(
+            engine = resolve_backend("executor", key)(**opts)
+            run = engine(
                 units,
-                executor=key,
-                executor_opts=opts,
                 policy=policy,
-                injector=injector if injector is not None else NoFaults(),
+                injector=injector,
                 max_rebuilds=(
                     rebuild_budget
                     if rebuild_budget is not None
@@ -653,7 +613,15 @@ class SweepService:
                 ),
                 on_unit_done=_on_unit_done,
             )
-            n_rebuilds = resilient_run.rebuilds
+            n_rebuilds = run.rebuilds
+            if journal_obj is None:
+                # Whole results are written back after the pass rather
+                # than interleaved with unit runs.
+                for outcome in run.outcomes:
+                    if outcome.ok:
+                        _write_back(outcome)
+            if fail_fast:
+                run.raise_first_failure()
 
         after = self._cache.stats if self._cache is not None else CacheStats()
         section_stats: Optional[Dict[str, CacheStats]] = None
@@ -691,28 +659,15 @@ class SweepService:
         self,
         raw_items: List[Union[Scenario, Session]],
         use_delta: bool,
-        key: str,
         writeback: bool,
-    ) -> Tuple[List[Any], bool]:
-        """Wrap work items for delta execution.
-
-        Returns ``(items, inline)`` — ``inline`` means the wrappers hold
-        the live cache and write sections back themselves (the serial
-        engine runs in-process), so the parent must not absorb again.
-        """
+    ) -> List[Any]:
+        """Wrap work items for delta execution (see :class:`_DeltaItem`)."""
         if not use_delta or self._cache is None:
-            return list(raw_items), False
-        inline = key == "serial"
-        live = self._cache if inline else None
+            return list(raw_items)
         return [
-            _DeltaItem(
-                item,
-                cache=live,
-                cache_dir=self._cache.cache_dir,
-                writeback=writeback,
-            )
+            _DeltaItem(item, cache=self._cache, writeback=writeback)
             for item in raw_items
-        ], inline
+        ]
 
     def _absorb_sections(self, result: Any, writeback: bool) -> None:
         """Write a pooled worker's fresh section payloads to the cache."""

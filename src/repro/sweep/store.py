@@ -185,8 +185,13 @@ class SharedTraceStore:
 
         array_path, meta_path = self._trace_paths(codes, n_hours, seed)
         try:
+            try:
+                stacked = np.load(array_path, mmap_mode="r")
+            except FileNotFoundError:
+                # Not stored (yet): the manifest lands before the array,
+                # so a missing array is a plain miss, never a torn entry.
+                return None
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            stacked = np.load(array_path, mmap_mode="r")
             if tuple(meta["codes"]) != codes or stacked.shape != (
                 len(codes),
                 n_hours,
@@ -203,23 +208,23 @@ class SharedTraceStore:
             )
         except Exception as exc:
             # EOFError for a truncated .npy, JSON/KeyError for a bad
-            # manifest, OSError for anything filesystem-level: all fail
-            # soft to regeneration.  Only an absent entry stays silent.
-            if array_path.exists() or meta_path.exists():
-                logger.warning(
-                    "shared trace store entry %s is unreadable (%s: %s); "
-                    "regenerating locally",
-                    array_path.stem,
-                    type(exc).__name__,
-                    exc,
-                )
+            # manifest, OSError for anything filesystem-level (a missing
+            # manifest beside an array included): all fail soft to
+            # regeneration.
+            logger.warning(
+                "shared trace store entry %s is unreadable (%s: %s); "
+                "regenerating locally",
+                array_path.stem,
+                type(exc).__name__,
+                exc,
+            )
             return None
 
     def _save_traces(self, key: Tuple, traces: Tuple) -> None:
         codes, n_hours, seed = key
         array_path, meta_path = self._trace_paths(codes, n_hours, seed)
         try:
-            _atomic_save(array_path, np.vstack([t.values for t in traces]))
+            # Manifest first: readers treat an absent array as a miss.
             _atomic_write_text(
                 meta_path,
                 json.dumps(
@@ -233,6 +238,7 @@ class SharedTraceStore:
                     sort_keys=True,
                 ),
             )
+            _atomic_save(array_path, np.vstack([t.values for t in traces]))
         except OSError as exc:
             # The store is advisory: workers that cannot persist still
             # hold the generated traces in memory and make progress.
@@ -267,16 +273,17 @@ class SharedTraceStore:
         path = self._dir / "tables" / f"{kind}-{_digest(key_parts)}.npy"
         try:
             return np.load(path, mmap_mode="r")
+        except FileNotFoundError:
+            pass  # a miss (a racing sibling may land it meanwhile)
         except Exception as exc:
-            # Missing or corrupt (EOFError: truncated): rebuild below.
-            if path.exists():
-                logger.warning(
-                    "shared table store entry %s is unreadable (%s: %s); "
-                    "rebuilding locally",
-                    path.name,
-                    type(exc).__name__,
-                    exc,
-                )
+            # Corrupt (EOFError: truncated): rebuild below.
+            logger.warning(
+                "shared table store entry %s is unreadable (%s: %s); "
+                "rebuilding locally",
+                path.name,
+                type(exc).__name__,
+                exc,
+            )
         table = build()
         try:
             _atomic_save(path, table)

@@ -287,9 +287,13 @@ def _check_report(key, factory, ctx):
 
 
 def _check_executor(key, factory, ctx):
-    sweep = factory()
-    assert callable(sweep)
-    assert list(sweep([])) == []
+    from repro.resilience import ResilientRun
+
+    engine = factory()
+    assert callable(engine)
+    run = engine([])  # an empty pass touches no disk and starts no pool
+    assert isinstance(run, ResilientRun)
+    assert run.outcomes == () and run.rebuilds == 0
 
 
 def _check_sweep(key, factory, ctx):

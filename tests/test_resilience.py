@@ -12,10 +12,14 @@ The load-bearing pins:
 * **resume** — a crash-interrupted (or failed) run's journal lets the
   next run recompute *zero* already-completed units;
 * **no zombies** — interrupting a pooled sweep cancels queued work and
-  terminates the workers (the PR 7 bugfix), asserted both against a
-  stub pool and end-to-end with a real ``SIGINT``;
+  terminates the workers, asserted both against a stub pool and
+  end-to-end with a real ``SIGINT``;
+* **one execution path** — a re-registered or wrapped executor key runs
+  the same engine as the key it wraps, and a plain run (no retries, no
+  faults, no journal) still raises a failing cell's own exception;
 * **store fail-soft** — a truncated/corrupt shared-store file degrades
-  to local regeneration with a warning, byte-equal to normal output.
+  to local regeneration with a warning, byte-equal to normal output,
+  while a plain miss (even one racing a sibling's write) stays silent.
 """
 
 from __future__ import annotations
@@ -557,24 +561,16 @@ class TestRunnerEdges:
             run_resilient([unit], max_rebuilds=-1)
 
     def test_foreign_executor_gets_parent_side_retry(self):
+        """A key registered over a wrapped built-in engine keeps the
+        attempt loop: a unit that fails once is retried."""
         from repro.session import register_backend
 
-        calls = {"n": 0}
-
-        def flaky_engine(items):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("first call always fails")
-            from repro.session.executors import _run_chunk
-
-            return _run_chunk(items)
-
         register_backend(
-            "executor", "test-flaky", lambda **_: flaky_engine, replace=True
+            "executor", "test-flaky", _passthrough("serial"), replace=True
         )
         unit = ResilientUnit(
-            item=_cell("ESO"), index=0, indices=(0,), name="c",
-            fingerprint=None,
+            item=_FlakyItem(_cell("ESO").build()), index=0, indices=(0,),
+            name="c", fingerprint=None,
         )
         run = run_resilient([unit], executor="test-flaky", policy=1)
         assert run.outcomes[0].ok and run.outcomes[0].attempts == 2
@@ -591,6 +587,169 @@ class TestRunnerEdges:
         failure = run.outcomes[0].failure
         assert failure is not None
         assert failure.error_type == "InjectedFault"
+
+
+def _passthrough(key: str):
+    """An executor factory that wraps ``key``'s engine, the way a
+    profiler or plugin re-registers an executor key."""
+    from repro.session import resolve_backend
+
+    factory = resolve_backend("executor", key)
+
+    def make(**opts):
+        engine = factory(**opts)
+
+        def wrapped(*args, **kwargs):
+            return engine(*args, **kwargs)
+
+        return wrapped
+
+    return make
+
+
+class _FlakyItem:
+    """A Session stand-in whose first run raises."""
+
+    def __init__(self, session) -> None:
+        self.session = session
+        self.calls = 0
+
+    def run(self):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("first call always fails")
+        return self.session.run()
+
+
+class _LocalErrorItem:
+    """An item whose error class cannot be pickled home from a worker."""
+
+    def run(self):
+        class LocalError(Exception):
+            pass
+
+        raise LocalError("cannot travel")
+
+
+# --- one execution path -----------------------------------------------------
+class TestOnePath:
+    @pytest.mark.parametrize("key", ["process", "shared"])
+    def test_wrapped_pool_key_rebuilds_after_a_real_crash(
+        self, key, tmp_path, monkeypatch, golden
+    ):
+        """A pass-through key over a pooled engine runs a real pool: the
+        injected crash kills a worker and the pool is rebuilt once."""
+        from repro.session import register_backend
+
+        monkeypatch.setenv("REPRO_HPC_CACHE_DIR", str(tmp_path / "cache"))
+        register_backend(
+            "executor", f"test-wrapped-{key}", _passthrough(key), replace=True
+        )
+        report = SweepService(cache=False).run(
+            _cells()[:2],
+            executor=f"test-wrapped-{key}",
+            max_workers=2,
+            retry=1,
+            faults={"kind": "scripted", "crash_at": [0], "attempts": 1},
+        )
+        assert report.ok
+        assert report.n_rebuilds == 1
+        assert [_serialize(r) for r in report.results] == golden[:2]
+
+    @staticmethod
+    def _bad_trace(tmp_path) -> str:
+        """A trace file that loads at build time but fails to parse."""
+        trace = tmp_path / "bad-trace.csv"
+        trace.write_text("foo,bar\n1,2\n")
+        return str(trace)
+
+    def _bad_cell(self, tmp_path) -> Scenario:
+        """A cell that plans and fingerprints but raises when run."""
+        return (
+            Scenario()
+            .system("frontier")
+            .region("ESO")
+            .node("V100")
+            .policy("carbon-oblivious")
+            .workload("trace", path=self._bad_trace(tmp_path))
+        )
+
+    def _expected(self, tmp_path):
+        with pytest.raises(Exception) as alone:
+            self._bad_cell(tmp_path).build().run()
+        return type(alone.value), str(alone.value)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_plain_sweep_raises_the_cells_own_exception(
+        self, executor, tmp_path
+    ):
+        expected = self._expected(tmp_path)
+        cells = [_cell("ESO"), self._bad_cell(tmp_path)]
+        with pytest.raises(Exception) as raised:
+            SweepService(cache=False).run(
+                cells,
+                executor=executor,
+                max_workers=2 if executor != "serial" else None,
+            )
+        assert (type(raised.value), str(raised.value)) == expected
+
+    def test_plain_sweep_caches_the_cells_that_finished(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cells = [_cell("ESO"), self._bad_cell(tmp_path)]
+        with pytest.raises(Exception):
+            SweepService(cache_dir=cache_dir).run(cells)
+        warm = SweepService(cache_dir=cache_dir).run([_cell("ESO")])
+        assert warm.n_ran == 0 and warm.n_hits == 1
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_run_many_raises_the_cells_own_exception(
+        self, executor, tmp_path
+    ):
+        from repro.session import Session
+
+        expected = self._expected(tmp_path)
+        cells = [_cell("ESO"), self._bad_cell(tmp_path)]
+        with pytest.raises(Exception) as raised:
+            Session.run_many(cells, executor=executor, max_workers=2)
+        assert (type(raised.value), str(raised.value)) == expected
+
+    def test_unpicklable_worker_error_fails_as_a_resilience_error(self):
+        from repro.session.executors import process_executor
+
+        unit = ResilientUnit(
+            item=_LocalErrorItem(), index=0, indices=(0,), name="c",
+            fingerprint=None,
+        )
+        run = process_executor(max_workers=1)([unit])
+        (outcome,) = run.outcomes
+        assert outcome.failure.error_type == "LocalError"
+        assert outcome.error is None
+        with pytest.raises(ResilienceError, match="LocalError: cannot travel"):
+            run.raise_first_failure()
+
+    def test_cli_reports_a_plain_failure_as_a_sweep_error(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "bad",
+                    "base": {
+                        "system": "frontier",
+                        "node": "V100",
+                        "workload": "trace",
+                        "workload_opts": {"path": self._bad_trace(tmp_path)},
+                    },
+                    "axes": {"region": ["ESO", "CISO"]},
+                }
+            )
+        )
+        rc = main(["sweep", "run", str(spec), "--no-cache"])
+        assert rc == 2
+        assert "sweep error:" in capsys.readouterr().err
 
 
 # --- the deadline context manager -------------------------------------------
@@ -630,14 +789,14 @@ class TestDeadline:
 
 # --- interrupt handling (the zombie-worker bugfix) --------------------------
 class _StubPool:
-    """Records, in order, what the executor does to it on interrupt."""
+    """Records, in order, what the pool engine does to it on interrupt."""
 
     def __init__(self, error):
         self.error = error
         self.events = []
         self._processes = {1: self}  # pose as our own worker process
 
-    def map(self, fn, chunks):
+    def submit(self, fn, *args):
         raise self.error
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -653,25 +812,36 @@ class _StubPool:
 
 
 class TestInterrupts:
-    def test_drain_pool_terminates_then_cancels_on_interrupt(self):
-        from repro.session.executors import _drain_pool
+    @staticmethod
+    def _run_on(pool, monkeypatch):
+        import repro.session.executors as executors
 
+        monkeypatch.setattr(
+            executors, "ProcessPoolExecutor", lambda **_: pool
+        )
+        unit = ResilientUnit(
+            item=_cell("ESO"), index=0, indices=(0,), name="c",
+            fingerprint=None,
+        )
+        executors.process_executor(max_workers=1)([unit])
+
+    def test_pool_engine_terminates_then_cancels_on_interrupt(
+        self, monkeypatch
+    ):
         pool = _StubPool(KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
-            _drain_pool(pool, [["chunk"]])
+            self._run_on(pool, monkeypatch)
         # Workers hard-stopped FIRST (shutdown drops the process
-        # table), then queued chunks cancelled.
+        # table), then queued units cancelled.
         assert pool.events == [
             ("terminate", None),
             ("shutdown", {"wait": False, "cancel_futures": True}),
         ]
 
-    def test_drain_pool_plain_errors_do_not_terminate(self):
-        from repro.session.executors import _drain_pool
-
+    def test_pool_engine_plain_errors_do_not_terminate(self, monkeypatch):
         pool = _StubPool(ValueError("a worker raised"))
         with pytest.raises(ValueError):
-            _drain_pool(pool, [["chunk"]])
+            self._run_on(pool, monkeypatch)
         # Normal errors reap gracefully: cancel, never terminate.
         assert pool.events == [
             ("shutdown", {"wait": False, "cancel_futures": True}),
@@ -839,6 +1009,83 @@ class TestStoreFailSoft:
         assert built["n"] == 1
         np.testing.assert_array_equal(table, np.arange(4.0))
         assert any("without persistence" in r.message for r in caplog.records)
+
+    def test_table_miss_racing_a_sibling_write_is_silent(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        """A miss whose file a sibling worker lands right after the
+        failed load is a plain miss, not an unreadable entry."""
+        from repro.sweep import store as store_module
+        from repro.sweep.store import SharedTraceStore
+
+        def racing_load(path, *args, **kwargs):
+            # The sibling's os.replace lands between our miss and any
+            # later look at the path.
+            store_module._atomic_save(pathlib.Path(path), np.arange(6.0))
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+
+        monkeypatch.setattr(store_module.np, "load", racing_load)
+        with caplog.at_level("WARNING", logger="repro.sweep.store"):
+            table = SharedTraceStore(tmp_path / "store").provide_table(
+                "truth", {"trace": "digest"}, "ESO", 24, lambda: np.arange(6.0)
+            )
+        np.testing.assert_array_equal(table, np.arange(6.0))
+        assert not caplog.records
+
+    def test_trace_read_between_a_siblings_two_writes_is_silent(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        """A reader that looks while a sibling worker is between the two
+        files of a trace entry sees a plain miss, not a torn entry."""
+        from repro.intensity.generator import _cached_traces, trace_cache_clear
+        from repro.sweep import store as store_module
+        from repro.sweep.store import SharedTraceStore
+
+        key = (("ESO",), 48, 126)
+        reader = SharedTraceStore(tmp_path / "store")
+        seen = []
+        writes = {"n": 0}
+
+        def peek_before_the_second_write(write):
+            def wrapped(*args):
+                writes["n"] += 1
+                if writes["n"] == 2:
+                    seen.append(reader._load_traces(*key))
+                return write(*args)
+
+            return wrapped
+
+        for name in ("_atomic_save", "_atomic_write_text"):
+            monkeypatch.setattr(
+                store_module,
+                name,
+                peek_before_the_second_write(getattr(store_module, name)),
+            )
+        trace_cache_clear()
+        with caplog.at_level("WARNING", logger="repro.sweep.store"):
+            SharedTraceStore(tmp_path / "store")._save_traces(
+                key, _cached_traces(*key)
+            )
+        trace_cache_clear()
+        assert seen == [None]
+        assert not caplog.records
+        assert reader._load_traces(*key) is not None  # the finished entry
+
+    def test_corrupt_manifest_warns(self, tmp_path, caplog):
+        from repro.intensity.generator import trace_cache_clear
+        from repro.sweep.store import SharedTraceStore
+
+        store = SharedTraceStore(tmp_path / "store")
+        array_path = store.ensure_traces(("ESO",), 48, 127)
+        array_path.with_suffix(".json").write_text("{not json")
+        trace_cache_clear()
+        with caplog.at_level("WARNING", logger="repro.sweep.store"):
+            traces = SharedTraceStore(tmp_path / "store").provide_traces(
+                ("ESO",), 48, 127
+            )
+        trace_cache_clear()
+        assert traces is not None and len(traces) == 1
+        assert any("unreadable" in r.message for r in caplog.records)
 
     def test_corrupt_table_rebuilds(self, tmp_path, caplog):
         from repro.sweep.store import SharedTraceStore

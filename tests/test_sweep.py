@@ -503,6 +503,7 @@ class TestSweepService:
     def test_shared_executor_results_match_serial(self, tmp_path):
         import os
 
+        from repro.resilience import ResilientUnit
         from repro.session import resolve_backend
 
         reference = Session.run_many(_matrix_cells())
@@ -510,7 +511,17 @@ class TestSweepService:
             max_workers=min(2, os.cpu_count() or 1),
             store_dir=tmp_path / "store",
         )
-        results = engine(_matrix_cells())
+        run = engine(
+            [
+                ResilientUnit(
+                    item=cell, index=i, indices=(i,), name=f"cell {i}",
+                    fingerprint=None,
+                )
+                for i, cell in enumerate(_matrix_cells())
+            ]
+        )
+        assert len(run.outcomes) == len(reference)
+        results = [outcome.result for outcome in run.outcomes]
         for ref, got in zip(reference, results):
             assert _serialize(got) == _serialize(ref)
 
