@@ -93,9 +93,17 @@ def bench_retry_overhead() -> dict:
 
 
 def bench_resume_skip() -> dict:
-    """A fully-journaled grid resumes without recomputing any cell."""
+    """A fully-journaled grid resumes without recomputing any cell.
+
+    The trace and window-table memos are emptied first, so the compute
+    leg computes every cell from scratch even after an earlier
+    benchmark in the same process ran the grid.
+    """
+    from repro.intensity import table_cache_clear, trace_cache_clear
     from repro.sweep import SweepService
 
+    trace_cache_clear()
+    table_cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         journal = pathlib.Path(tmp) / "journal.jsonl"
         service = SweepService(cache=False)

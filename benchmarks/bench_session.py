@@ -6,14 +6,17 @@ The facade's first real throughput win is the module-level LRU behind
 (7 regions x 8760 hours of composed seasonal/diurnal/AR(1) structure);
 now only the first construction per ``(regions, n_hours, seed)`` pays.
 These benchmarks pin the speedup and the once-per-seed guarantee for
-``Session.run_many`` sweeps.
+``Session.run_many`` sweeps, and the process-wide window-table memo's
+once-per-process guarantee for the score tables of repeated scenarios.
 """
 
 from __future__ import annotations
 
+import collections
+import json
 import time
 
-from repro.intensity import trace_cache_clear, trace_cache_info
+from repro.intensity import table_cache_clear, trace_cache_clear, trace_cache_info
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.generator import generate_all_traces
 from repro.session import Scenario, Session
@@ -92,3 +95,47 @@ def test_run_many_generates_traces_once_per_seed(benchmark):
         key=lambda o: o.carbon_g,
     )
     print(f"\nsweep best: {best.policy} at {best.carbon_g:,.0f} gCO2")
+
+
+#: The perfbench canonical scenario: every section, three candidate
+#: regions and the carbon-aware cluster over the default 28-day workload.
+_CANONICAL = {
+    "system": "frontier",
+    "node": "A100",
+    "region": "ESO",
+    "regions": ["ESO", "CISO", "PJM"],
+    "policies": ["carbon-oblivious", "temporal+geographic"],
+    "seed": 2021,
+    "workload": "synthetic",
+    "workload_seed": 2021,
+    "training": {"model": "BERT", "epochs": 3},
+    "upgrade": {"old": "P100", "new": "A100"},
+    "cluster": {"n_nodes": 16, "simulator": "carbon-aware"},
+    "renderer": "text",
+}
+
+
+def test_repeated_scenario_builds_each_score_table_once(monkeypatch):
+    """Two fresh Sessions of one scenario share every score table."""
+    builds = collections.Counter()
+    build = CarbonIntensityService._build_score_table
+
+    def counted(self, region, window):
+        builds[(region, window)] += 1
+        return build(self, region, window)
+
+    monkeypatch.setattr(CarbonIntensityService, "_build_score_table", counted)
+    table_cache_clear()
+    try:
+        first = Scenario.from_spec(dict(_CANONICAL)).build().run()
+        n_tables = len(builds)
+        second = Scenario.from_spec(dict(_CANONICAL)).build().run()
+    finally:
+        table_cache_clear()
+    assert n_tables > 0
+    assert len(builds) == n_tables
+    assert set(builds.values()) == {1}, "a score table was built twice"
+    assert json.dumps(second.to_dict(), sort_keys=True) == json.dumps(
+        first.to_dict(), sort_keys=True
+    )
+    print(f"\ncanonical scenario x2: {n_tables} score tables, each built once")

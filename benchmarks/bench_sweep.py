@@ -63,9 +63,18 @@ _GRID_SPEC = {
 
 
 def bench_cache_grid() -> dict:
-    """Cold vs warm-cache wall-time over the canonical 8-cell grid."""
+    """Cold vs warm-cache wall-time over the canonical 8-cell grid.
+
+    An untimed uncached pass first loads every lazily imported module;
+    the trace and window-table memos are then emptied, so the cold pass
+    computes every cell from scratch, as a fresh process would.
+    """
+    from repro.intensity import table_cache_clear, trace_cache_clear
     from repro.sweep import SweepService
 
+    SweepService(cache=False).run(_GRID_SPEC)  # import warm-up
+    trace_cache_clear()
+    table_cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         service = SweepService(cache_dir=pathlib.Path(tmp) / "cache")
         t0 = time.perf_counter()
@@ -122,16 +131,21 @@ def bench_delta_grid() -> dict:
     The warm pass (renderer ``text``, untimed) populates the section
     tier for every (accounting, pue) combination *and* the module-level
     trace/workload memos, so the two timed passes compare pure compute
-    against pure assembly, not memo warm-up noise.  The delta pass's
-    cells (renderers ``json``/``markdown``) all miss the whole-result
-    cache — section assembly is the only thing saving them work.
+    against pure assembly, not memo warm-up noise.  The window-table
+    memo is emptied after it, so the cold pass builds its score tables
+    as a full recompute must, instead of reading the warm pass's.  The
+    delta pass's cells (renderers ``json``/``markdown``) all miss the
+    whole-result cache — section assembly is the only thing saving them
+    work.
     """
+    from repro.intensity import table_cache_clear
     from repro.sweep import SweepService
 
     timed_spec = _delta_spec(["json", "markdown"])
     with tempfile.TemporaryDirectory() as tmp:
         service = SweepService(cache_dir=pathlib.Path(tmp) / "cache")
         service.run(_delta_spec(["text"]))  # warm sections + memos
+        table_cache_clear()
 
         direct = SweepService(cache=False)
         t0 = time.perf_counter()

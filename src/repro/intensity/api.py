@@ -15,49 +15,87 @@ degradable information rather than an oracle.  Pass
 
 from __future__ import annotations
 
+import threading
 import zlib
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from collections import OrderedDict, namedtuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.errors import TraceError
 from repro.intensity.generator import DEFAULT_SEED, generate_all_traces
 from repro.intensity.trace import IntensityTrace
 
-__all__ = ["CarbonIntensityService", "set_table_provider", "table_provider"]
+__all__ = ["CarbonIntensityService", "table_cache_info", "table_cache_clear"]
 
 #: Lead-time chunk width for noisy score-table construction: caps the
 #: dense per-chunk work arrays at (trace length × this) elements.
 _SCORE_CHUNK_HOURS = 512
 
-#: Externalizable table memo hook.  When set,
-#: ``provider(kind, identity, region, window, build)`` is consulted on a
-#: per-instance memo miss before building a score/truth window table:
-#: ``kind`` is ``"score"`` or ``"truth"``, ``identity`` carries the
-#: content digest of the region trace plus the noise inputs
-#: (seed/forecast error), and ``build`` computes the table when the
-#: provider has no copy.  :class:`repro.sweep.store.SharedTraceStore`
-#: uses this to serialize tables once to memory-mapped ``.npy`` files
-#: that every sweep worker attaches to.  Providers must be
-#: byte-faithful; the builds are deterministic per identity, so a
-#: last-writer-wins store converges on identical bytes.
-_table_provider = None
+#: Byte budget of the process-wide window-table memo: room for ~240
+#: full-year tables (70 KiB each), twice the 120 score tables of the
+#: perfbench canonical scenario, while a stream of one-off seeds cannot
+#: grow the process without bound.
+_TABLE_MEMO_BYTES = 16 << 20
+
+#: The process-wide window-table memo, oldest entry first.  Keys are
+#: content-addressed (:meth:`CarbonIntensityService._table_key`), so
+#: every service over the same traces and noise inputs shares one copy
+#: of each table, whichever session built it first.
+_tables: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
+_table_stats = {"hits": 0, "misses": 0, "bytes": 0}
+_table_lock = threading.Lock()
+
+TableCacheInfo = namedtuple(
+    "TableCacheInfo", ["hits", "misses", "currsize", "nbytes", "maxbytes"]
+)
 
 
-def set_table_provider(provider):
-    """Install (or with ``None`` clear) the external table provider.
+def table_cache_info() -> TableCacheInfo:
+    """Hit/miss counts, entries and bytes held by the window-table memo."""
+    with _table_lock:
+        return TableCacheInfo(
+            _table_stats["hits"],
+            _table_stats["misses"],
+            len(_tables),
+            _table_stats["bytes"],
+            _TABLE_MEMO_BYTES,
+        )
 
-    Returns the previously installed provider so callers can restore it.
+
+def table_cache_clear() -> None:
+    """Drop every memoized window table and reset the counters."""
+    with _table_lock:
+        _tables.clear()
+        _table_stats.update(hits=0, misses=0, bytes=0)
+
+
+def _memo_table(key: Tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The memoized table for ``key``, built (read-only) on a miss.
+
+    Least recently used tables go first once the memo holds more than
+    :data:`_TABLE_MEMO_BYTES`; a caller keeps its table either way.
+    The build runs outside the lock; when two threads race on one key,
+    the first table stored is the one both return.
     """
-    global _table_provider
-    previous = _table_provider
-    _table_provider = provider
-    return previous
-
-
-def table_provider():
-    """The currently installed external table provider (or ``None``)."""
-    return _table_provider
+    with _table_lock:
+        table = _tables.get(key)
+        if table is not None:
+            _tables.move_to_end(key)
+            _table_stats["hits"] += 1
+            return table
+        _table_stats["misses"] += 1
+    built = build()
+    built.setflags(write=False)
+    with _table_lock:
+        table = _tables.setdefault(key, built)
+        if table is built:
+            _table_stats["bytes"] += table.nbytes
+            while _table_stats["bytes"] > _TABLE_MEMO_BYTES:
+                _, evicted = _tables.popitem(last=False)
+                _table_stats["bytes"] -= evicted.nbytes
+    return table
 
 
 class CarbonIntensityService:
@@ -100,12 +138,12 @@ class CarbonIntensityService:
         self._truth_tables: Dict[Tuple[str, int], np.ndarray] = {}
         self._trace_digests: Dict[str, str] = {}
 
-    def _table_identity(self, region: str) -> Dict[str, object]:
-        """What a window table's bytes depend on, for external memo keys.
+    def _table_key(self, kind: str, region: str, window: int) -> Tuple:
+        """The process-wide memo key of one window table.
 
         Truth tables are pure functions of the trace content; score
-        tables additionally fold in the deterministic noise inputs.
-        Providers key their storage off the relevant subset.
+        tables also fold in the noise inputs (seed, forecast error), so
+        services that differ only in forecast error share truth tables.
         """
         digest = self._trace_digests.get(region)
         if digest is None:
@@ -114,11 +152,9 @@ class CarbonIntensityService:
             values = np.ascontiguousarray(self.trace(region).values)
             digest = hashlib.sha256(values.tobytes()).hexdigest()
             self._trace_digests[region] = digest
-        return {
-            "trace": digest,
-            "seed": self._seed,
-            "forecast_error": repr(self._forecast_error),
-        }
+        if kind == "truth":
+            return (kind, digest, region, window)
+        return (kind, digest, region, window, self._seed, repr(self._forecast_error))
 
     # --- catalog ------------------------------------------------------------
     @property
@@ -176,64 +212,68 @@ class CarbonIntensityService:
 
         ``table[t]`` is the mean *forecast* intensity over ``[t, t+window)``
         for a forecast issued at hour ``t`` (lead times ``1..window``,
-        wrapping at the year boundary).  Built once per ``(region, window)``
-        from cumulative sums over the trace (oracle) plus a deterministic
-        per-``(seed, region, window)`` noise draw (imperfect forecasts),
-        then memoized — any candidate placement grid scores as a single
-        gather + ``argmin`` against this table instead of per-candidate
-        forecast calls.  Both the scalar policy ``place`` reference path
+        wrapping at the year boundary).  Built from cumulative sums over
+        the trace (oracle) plus a deterministic per-``(seed, region,
+        window)`` noise draw (imperfect forecasts), then memoized — any
+        candidate placement grid scores as a single gather + ``argmin``
+        against this table instead of per-candidate forecast calls.  Both the scalar policy ``place`` reference path
         (via :meth:`forecast_window_mean`) and the vectorized
         ``place_all`` kernels read the same table, which is what makes
         their placements byte-identical.
+
+        Tables live in one process-wide LRU memo keyed on content (trace
+        sha256, region, window, seed and forecast error), so every
+        service over the same traces shares each build, whichever
+        session made it.  The memo holds at most
+        :data:`_TABLE_MEMO_BYTES` (16 MiB) and drops least recently used
+        tables first; each service also pins the tables it has served.
+        See :func:`table_cache_info` / :func:`table_cache_clear`.
 
         The returned array is read-only and shared; copy before writing.
         """
         if window_hours < 1:
             raise TraceError(f"window must be >= 1 hour, got {window_hours}")
         window = int(window_hours)
-        key = (region, window)
-        table = self._score_tables.get(key)
-        if table is not None:
-            return table
-        if _table_provider is not None:
-            table = _table_provider(
-                "score",
-                self._table_identity(region),
-                region,
-                window,
+        table = self._score_tables.get((region, window))
+        if table is None:
+            table = _memo_table(
+                self._table_key("score", region, window),
                 lambda: self._build_score_table(region, window),
             )
-        if table is None:
-            table = self._build_score_table(region, window)
-        table.setflags(write=False)
-        self._score_tables[key] = table
+            self._score_tables[(region, window)] = table
         return table
 
     def _build_score_table(self, region: str, window: int) -> np.ndarray:
         trace = self.trace(region)
         if self._forecast_error == 0.0:
-            table = trace.forward_window_mean(window)
-        else:
-            n = len(trace)
-            rng = np.random.default_rng(
-                (self._seed, zlib.crc32(region.encode("utf-8")), window)
+            return trace.forward_window_mean(window)
+        n = len(trace)
+        rng = np.random.default_rng(
+            (self._seed, zlib.crc32(region.encode("utf-8")), window)
+        )
+        # Row t of the view is the trace from hour t on, wrapped as many
+        # times as the window needs.
+        reps = -(-(n + window - 1) // n)
+        ahead = sliding_window_view(np.tile(trace.values, reps), window)
+        buffer = np.empty(n * min(window, _SCORE_CHUNK_HOURS))
+        acc = np.zeros(n)
+        # Chunk the lead-time axis so the dense (n, chunk) work buffer
+        # stays bounded for multi-week windows; the chunk width is a
+        # fixed constant, so the noise stream (and therefore the table)
+        # is deterministic.  Each step is the in-place form of
+        # max(truth * (1 + error * sqrt(lead) * noise), 0), bit for bit.
+        for k0 in range(0, window, _SCORE_CHUNK_HOURS):
+            k1 = min(k0 + _SCORE_CHUNK_HOURS, window)
+            block = buffer[: n * (k1 - k0)].reshape(n, k1 - k0)
+            rng.standard_normal(out=block)
+            block *= self._forecast_error * np.sqrt(
+                np.arange(k0 + 1, k1 + 1, dtype=float)
             )
-            base = np.arange(n)[:, None]
-            acc = np.zeros(n)
-            # Chunk the lead-time axis so the dense (n, chunk)
-            # intermediates stay bounded for multi-week windows; the
-            # chunk width is a fixed constant, so the noise stream (and
-            # therefore the table) is deterministic.
-            for k0 in range(0, window, _SCORE_CHUNK_HOURS):
-                k1 = min(k0 + _SCORE_CHUNK_HOURS, window)
-                lead = np.sqrt(np.arange(k0 + 1, k1 + 1, dtype=float))
-                idx = (base + np.arange(k0, k1)[None, :]) % n
-                factor = 1.0 + self._forecast_error * lead * rng.standard_normal(
-                    (n, k1 - k0)
-                )
-                acc += np.maximum(trace.values[idx] * factor, 0.0).sum(axis=1)
-            table = acc / window
-        return table
+            block += 1.0
+            block *= ahead[:n, k0:k1]
+            np.maximum(block, 0.0, out=block)
+            acc += block.sum(axis=1)
+        return acc / window
 
     def window_score_matrix(
         self, regions: Sequence[str], window_hours: int
@@ -279,7 +319,9 @@ class CarbonIntensityService:
         against the forecast score tables, the carbon ledger charges
         realized placements against these.  Built once per ``(region,
         window)`` and memoized, so charging a batch of placed jobs is a
-        single gather instead of a per-job slice-and-mean.
+        single gather instead of a per-job slice-and-mean.  Shares the
+        process-wide, 16 MiB-bounded memo of :meth:`window_score_table`
+        under a key of the trace content, region and window alone.
 
         Each row is reduced with the same pairwise summation ``numpy``
         applies to a 1-D slice, so table entries are *bit-identical* to
@@ -294,22 +336,13 @@ class CarbonIntensityService:
         if window_hours < 1:
             raise TraceError(f"window must be >= 1 hour, got {window_hours}")
         window = int(window_hours)
-        key = (region, window)
-        table = self._truth_tables.get(key)
-        if table is not None:
-            return table
-        if _table_provider is not None:
-            table = _table_provider(
-                "truth",
-                self._table_identity(region),
-                region,
-                window,
+        table = self._truth_tables.get((region, window))
+        if table is None:
+            table = _memo_table(
+                self._table_key("truth", region, window),
                 lambda: self._build_truth_table(region, window),
             )
-        if table is None:
-            table = self._build_truth_table(region, window)
-        table.setflags(write=False)
-        self._truth_tables[key] = table
+            self._truth_tables[(region, window)] = table
         return table
 
     def _build_truth_table(self, region: str, window: int) -> np.ndarray:

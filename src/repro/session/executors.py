@@ -45,8 +45,9 @@ Built-ins:
   payloads must be picklable; registry-keyed scenarios always are.
 * ``shared`` — ``process``, but the parent first writes every sweep
   seed's trace set to a :class:`~repro.sweep.store.SharedTraceStore`
-  and each worker attaches it, memory-mapping traces and window tables
-  instead of regenerating them.
+  and each worker attaches it, memory-mapping the traces instead of
+  regenerating them.  Window tables are not shared: each worker builds
+  them once into its own process-wide memo.
 
 Results are deterministic per scenario seed (each Session draws a
 freshly seeded forecast stream), so every engine returns results equal
@@ -128,11 +129,12 @@ def _warm_worker(seeds: Tuple[int, ...]) -> None:
 
 
 def _attach_store_worker(store_dir: str, seeds: Tuple[int, ...]) -> None:
-    """Pool initializer: attach the shared store, then warm the memos.
+    """Pool initializer: attach the shared trace store, then warm the memos.
 
     With the store attached, ``generate_all_traces`` loads each seed's
     set from the parent's memory-mapped ``.npy`` file instead of
-    re-running the generator.
+    re-running the generator.  The store holds traces only; the worker
+    builds window tables into its own process-wide memo.
     """
     from repro.sweep.store import SharedTraceStore
 
@@ -488,7 +490,8 @@ def shared_executor(
     to memory-mapped ``.npy`` files under ``store_dir`` before the
     workers start, and each worker attaches a
     :class:`repro.sweep.store.SharedTraceStore` instead of regenerating
-    traces and window tables.  ``store_dir`` defaults to
+    the traces.  Window tables stay per worker, in each worker's
+    process-wide memo.  ``store_dir`` defaults to
     ``default_cache_dir() / "store"`` (``$REPRO_HPC_CACHE_DIR/store``,
     else ``~/.cache/repro-hpc/store``), whatever ``cache_dir`` the
     sweep service was given.

@@ -1,22 +1,18 @@
-"""The shared trace store: mmap-backed memos for sweep workers.
+"""The shared trace store: mmap-backed trace sets for sweep workers.
 
-PR 2's sweep benchmarks recorded the ``process`` executor at ~1x: every
-worker re-warmed its own in-process memos — regenerating the Table 3
-trace set and rebuilding the score/truth window tables from scratch.
-:class:`SharedTraceStore` externalizes those memos to ``.npy`` files in
-a shared directory:
+Without it, every process-pool worker re-warms its own in-process
+memos, regenerating the Table 3 trace set from scratch.  :class:`SharedTraceStore` externalizes the
+trace memo to ``.npy`` files in a shared directory: one stacked
+``(n_regions, n_hours)`` array plus a JSON sidecar (codes, timezone
+offsets) per ``(regions, n_hours, seed)`` signature, attached read-only
+via ``numpy`` memory mapping through
+:func:`repro.intensity.generator.set_trace_provider`.  Window tables
+are not stored: each worker builds them into its own process-wide
+memo (:func:`repro.intensity.api.table_cache_info`), which a worker
+fills once and then serves every later cell it runs from.
 
-* **traces** — one stacked ``(n_regions, n_hours)`` array plus a JSON
-  sidecar (codes, timezone offsets) per ``(regions, n_hours, seed)``
-  signature, plugged into
-  :func:`repro.intensity.generator.set_trace_provider`;
-* **window tables** — one array per table identity (trace content
-  digest + noise inputs + region + window), attached read-only via
-  ``numpy`` memory mapping through
-  :func:`repro.intensity.api.set_table_provider`.
-
-Files are written atomically (tmp + ``os.replace``); builds are
-deterministic per identity, so racing workers converge on identical
+Files are written atomically (tmp + ``os.replace``); generation is
+deterministic per signature, so racing workers converge on identical
 bytes and last-writer-wins is safe.  The store is a cache, never an
 authority — every degradation fails *soft*, mirroring
 :class:`~repro.sweep.cache.ResultCache`'s corrupt-entry behavior: a
@@ -24,7 +20,7 @@ truncated or corrupt ``.npy``, a missing or malformed JSON manifest,
 and an unwritable store directory each log a warning and fall back to
 local regeneration, so an attached worker can always make progress.
 Attach a store with :meth:`SharedTraceStore.attach` (or as a context
-manager); detach restores whatever providers were installed before.
+manager); detach restores whatever provider was installed before.
 """
 
 from __future__ import annotations
@@ -81,10 +77,10 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
 
 
 class SharedTraceStore:
-    """A directory of mmap-attachable trace sets and window tables.
+    """A directory of mmap-attachable trace sets.
 
     Construction touches no disk; files appear lazily as memo misses
-    flow through the attached providers (or eagerly via
+    flow through the attached provider (or eagerly via
     :meth:`ensure_traces`, which the shared executor's parent process
     calls once before forking workers).
     """
@@ -98,7 +94,6 @@ class SharedTraceStore:
         self._trace_sets: Dict[Tuple, Tuple] = {}
         self._attached = False
         self._prev_trace = None
-        self._prev_table = None
 
     @property
     def directory(self) -> pathlib.Path:
@@ -106,25 +101,23 @@ class SharedTraceStore:
 
     # --- provider registration --------------------------------------------
     def attach(self) -> "SharedTraceStore":
-        """Install this store as the intensity layer's external memo."""
+        """Install this store as the trace generator's external memo."""
         if self._attached:
             return self
-        from repro.intensity import api, generator
+        from repro.intensity import generator
 
         self._prev_trace = generator.set_trace_provider(self.provide_traces)
-        self._prev_table = api.set_table_provider(self.provide_table)
         self._attached = True
         return self
 
     def detach(self) -> None:
-        """Restore the providers that were installed before :meth:`attach`."""
+        """Restore the provider that was installed before :meth:`attach`."""
         if not self._attached:
             return
-        from repro.intensity import api, generator
+        from repro.intensity import generator
 
         generator.set_trace_provider(self._prev_trace)
-        api.set_table_provider(self._prev_table)
-        self._prev_trace = self._prev_table = None
+        self._prev_trace = None
         self._attached = False
 
     def __enter__(self) -> "SharedTraceStore":
@@ -248,50 +241,3 @@ class SharedTraceStore:
                 self._dir,
                 exc,
             )
-
-    # --- window tables ----------------------------------------------------
-    def provide_table(
-        self, kind: str, identity: Dict, region: str, window: int, build
-    ) -> Optional[np.ndarray]:
-        """The :func:`set_table_provider` hook: mmap-or-build a table.
-
-        Truth tables key off the trace content alone; score tables fold
-        in the noise inputs (seed, forecast error), so services that
-        differ only in forecast error still share truth tables.
-        """
-        if kind == "truth":
-            key_parts = [kind, identity["trace"], region, window]
-        else:
-            key_parts = [
-                kind,
-                identity["trace"],
-                identity["seed"],
-                identity["forecast_error"],
-                region,
-                window,
-            ]
-        path = self._dir / "tables" / f"{kind}-{_digest(key_parts)}.npy"
-        try:
-            return np.load(path, mmap_mode="r")
-        except FileNotFoundError:
-            pass  # a miss (a racing sibling may land it meanwhile)
-        except Exception as exc:
-            # Corrupt (EOFError: truncated): rebuild below.
-            logger.warning(
-                "shared table store entry %s is unreadable (%s: %s); "
-                "rebuilding locally",
-                path.name,
-                type(exc).__name__,
-                exc,
-            )
-        table = build()
-        try:
-            _atomic_save(path, table)
-        except OSError as exc:
-            logger.warning(
-                "cannot write shared table store under %s (%s); "
-                "continuing without persistence",
-                self._dir,
-                exc,
-            )
-        return table

@@ -8,9 +8,9 @@ The load-bearing pins:
 * **invalidation** — any knob change keys a new fingerprint and misses;
 * **fail-soft** — corrupted or truncated cache-dir entries count as
   errors and recompute, never surface wrong results;
-* **shared store** — traces and window tables served from the
-  memory-mapped store are byte-equal to freshly generated ones, and
-  detach restores the providers that were installed before.
+* **shared store** — traces served from the memory-mapped store are
+  byte-equal to freshly generated ones, and detach restores the
+  provider that was installed before.
 """
 
 from __future__ import annotations
@@ -408,44 +408,16 @@ class TestSharedTraceStore:
             assert np.array_equal(served[code].values, trace.values)
             assert served[code].tz_offset_hours == trace.tz_offset_hours
 
-    def test_tables_round_trip_byte_equal(self, tmp_path):
-        from repro.session import resolve_backend
-
-        def tables(service):
-            return (
-                np.asarray(service.window_score_table("ESO", 24)),
-                np.asarray(service.truth_window_table("ESO", 24)),
-            )
-
-        reference = tables(
-            resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
-        )
-        with SharedTraceStore(tmp_path / "store"):
-            first = tables(
-                resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
-            )
-        # Second attach reads the mmap files written by the first.
-        with SharedTraceStore(tmp_path / "store"):
-            second = tables(
-                resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
-            )
-        for ref, a, b in zip(reference, first, second):
-            assert np.array_equal(a, ref)
-            assert np.array_equal(b, ref)
-        assert (tmp_path / "store" / "tables").is_dir()
-
     def test_detach_restores_previous_providers(self, tmp_path):
-        from repro.intensity import api, generator
+        from repro.intensity import generator
 
         assert generator.trace_provider() is None
-        assert api.table_provider() is None
         with SharedTraceStore(tmp_path / "a"):
             inner = SharedTraceStore(tmp_path / "b")
             inner.attach()
             inner.detach()
             assert generator.trace_provider() is not None
         assert generator.trace_provider() is None
-        assert api.table_provider() is None
 
     def test_corrupt_store_files_regenerate(self, tmp_path):
         from repro.intensity.generator import generate_all_traces
