@@ -101,9 +101,9 @@ for key, best in by_arrivals.items():
     )
 
 # --- 7. beyond one scheduling discipline ------------------------------------
-# Cluster simulators are a registry kind as well: `fcfs` is the scalar
-# plan-ahead oracle, `fcfs-columnar` the byte-identical event-driven
-# engine (~15x faster; use it for anything big), `backfill` EASY
+# Cluster simulators are a registry kind as well: `fcfs` (aliases
+# `fcfs-columnar`, `columnar`) is FCFS earliest fit on the event-driven
+# engine, `backfill` EASY
 # backfill — queued jobs jump ahead only when they cannot delay the
 # head job's reservation — and two operate-on-carbon disciplines:
 # `carbon-aware` (alias `green`) delays each job within its slack

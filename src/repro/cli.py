@@ -828,16 +828,13 @@ def _run_sweep_command(args) -> int:
                 )
             return 0
 
-        from repro.session import resolve_backend
+        from repro.sweep import SweepService
 
         if args.sweep_command == "plan":
             if args.no_delta:
-                service = resolve_backend("sweep", "direct")()
+                service = SweepService(cache=False)
             else:
-                plan_opts = {}
-                if args.cache_dir:
-                    plan_opts["cache_dir"] = args.cache_dir
-                service = resolve_backend("sweep", "cached")(**plan_opts)
+                service = SweepService(cache_dir=args.cache_dir or None)
             for line in service.plan(args.spec).summary_lines():
                 print(line)
             return 0
@@ -855,11 +852,9 @@ def _run_sweep_command(args) -> int:
         if args.no_cache:
             if args.cache_dir:
                 raise SweepError("--cache-dir is meaningless with --no-cache")
-            service = resolve_backend("sweep", "direct")(**opts)
+            service = SweepService(cache=False, **opts)
         else:
-            if args.cache_dir:
-                opts["cache_dir"] = args.cache_dir
-            service = resolve_backend("sweep", "cached")(**opts)
+            service = SweepService(cache_dir=args.cache_dir or None, **opts)
 
         run_kwargs = {}
         if args.retries is not None or args.unit_timeout is not None:
@@ -1010,7 +1005,9 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     scenario_parser.add_argument(
         "--accounting", default=None,
-        help="carbon-charging backend key (vectorized/scalar-reference)",
+        help="carbon-charging backend key: vectorized (default; aliases "
+             "ledger, default) or scalar-reference (alias scalar, the "
+             "per-job oracle loop the vectorized engine is pinned to)",
     )
     scenario_parser.add_argument(
         "--cluster", type=int, default=None, metavar="N",
@@ -1018,8 +1015,9 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     scenario_parser.add_argument(
         "--simulator", default=None,
-        help="cluster simulator backend key (fcfs/fcfs-columnar/backfill/"
-             "carbon-aware/power-cap); requires --cluster",
+        help="cluster simulator backend key: fcfs (default; aliases "
+             "columnar, fcfs-columnar), backfill, carbon-aware or "
+             "power-cap; requires --cluster",
     )
     scenario_parser.add_argument(
         "--simulator-arg", action="append", default=None, metavar="K=V",
@@ -1040,7 +1038,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     scenario_parser.add_argument(
         "--executor", default=None,
         help="executor backend key for --sweep-regions/--sweep-workloads "
-             "batches (serial/process)",
+             "batches (serial or shared, alias process)",
     )
     scenario_parser.add_argument(
         "--max-workers", type=int, default=None,
@@ -1119,7 +1117,8 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sweep_run.add_argument(
         "--executor", default=None,
-        help="executor backend key (serial/process/shared)",
+        help="executor backend key: serial (default) or shared, the "
+             "process pool (alias process)",
     )
     sweep_run.add_argument(
         "--max-workers", type=int, default=None,

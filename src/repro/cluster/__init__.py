@@ -74,20 +74,21 @@ def register_backends(registry) -> None:
     A simulator backend is the simulation callable itself:
     ``(jobs, cluster, *, horizon_h, intensity, pue, config)`` returning a
     :class:`SimulationResult` (or duck-typed equivalent); discipline
-    options are extra optional keywords.  ``fcfs`` is the paper-faithful
-    scalar FCFS-with-earliest-fit oracle; ``fcfs-columnar`` is the
-    event-driven engine on ``JobBatch`` columns (byte-identical
-    schedules/energy/carbon, ~10x faster); ``backfill`` is EASY backfill
-    on the same columnar substrate; ``carbon-aware`` delays jobs within
-    their slack toward low-intensity hours; ``power-cap`` holds the
-    cluster's busy-GPU profile under a capacity fraction.
+    options are extra optional keywords.  ``fcfs`` (aliases
+    ``default``, ``fcfs-columnar``, ``columnar``) is FCFS with
+    earliest fit, run by the event-driven engine on ``JobBatch``
+    columns; the scalar :func:`simulate_cluster` stays importable as
+    the oracle it is pinned byte-identical to, but no key resolves to
+    it.  ``backfill`` is EASY backfill on the same columnar substrate;
+    ``carbon-aware`` delays jobs within their slack toward
+    low-intensity hours; ``power-cap`` holds the cluster's busy-GPU
+    profile under a capacity fraction.
     """
-    registry.add("simulator", "fcfs", simulate_cluster, aliases=("default",))
     registry.add(
         "simulator",
-        "fcfs-columnar",
+        "fcfs",
         simulate_cluster_columnar,
-        aliases=("columnar",),
+        aliases=("default", "fcfs-columnar", "columnar"),
     )
     registry.add(
         "simulator", "backfill", simulate_cluster_backfill, aliases=("easy",)

@@ -8,7 +8,7 @@ This module is the production engine — it consumes
 anywhere on the hot path) and replaces the per-object bookkeeping with
 event heaps and one vectorized busy-hours pass:
 
-* **Placement** (``fcfs-columnar``) keeps a min-heap of running-job end
+* **Placement** (``fcfs``) keeps a min-heap of running-job end
   times plus per-node instantaneous free-GPU counters.  While a node
   carries no queued future start, its GPU occupancy on ``[s, ∞)`` is
   non-increasing, so "admits the job at its submit time" collapses to
@@ -678,7 +678,7 @@ def _place_carbon_aware(
         k_np = np.floor(dl_np).astype(np.int64) - base_np + 1
         np.maximum(k_np, 0, out=k_np)
         # Jobs with no delayed candidate take the FCFS fallback whole —
-        # bit-identical to fcfs-columnar, node tie-break included.
+        # bit-identical to fcfs, node tie-break included.
         scoring = scoring[k_np[scoring] >= 1]
         s_idx = sub_np.astype(np.int64)
     if probe is not None and scoring.size:
@@ -1139,7 +1139,7 @@ def simulate_cluster_columnar(
     pue: PUELike = None,
     config: Optional[ModelConfig] = None,
 ) -> ColumnarSimulationResult:
-    """FCFS earliest-fit on ``JobBatch`` columns (``fcfs-columnar``).
+    """FCFS earliest-fit on ``JobBatch`` columns (``fcfs``).
 
     Schedules, busy arrays, energy, carbon, and ledgers are
     byte-identical to the scalar oracle

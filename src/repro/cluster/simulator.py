@@ -20,6 +20,11 @@ Modeling notes (kept deliberately explicit):
   occupancy timeline (:class:`_NodeTimeline`), so a stream of J jobs
   places in O(J log E) events total rather than re-sorting the event
   list for every job.
+
+:func:`simulate_cluster` is the scalar semantics oracle.  The ``fcfs``
+simulator key runs :func:`repro.cluster.engine.simulate_cluster_columnar`,
+which the tests pin byte-identical to it; both share :class:`Cluster`,
+:class:`ScheduledJob` and the :func:`_account_horizon` accounting tail.
 """
 
 from __future__ import annotations

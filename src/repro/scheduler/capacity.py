@@ -24,7 +24,11 @@ from typing import Dict, Sequence
 
 from repro.core.errors import SchedulingError
 from repro.cluster.job import Job
-from repro.cluster.simulator import Cluster, SimulationResult, simulate_cluster
+from repro.cluster.engine import (
+    ColumnarSimulationResult,
+    simulate_cluster_columnar,
+)
+from repro.cluster.simulator import Cluster
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.trace import IntensityTrace
 from repro.scheduler.policies import SchedulingPolicy, place_jobs
@@ -41,7 +45,7 @@ class CapacityAwareOutcome:
     """Realized (simulated) outcome of one policy on one cluster."""
 
     policy_name: str
-    simulation: SimulationResult
+    simulation: ColumnarSimulationResult
     proposed_delay_h: float
 
     @property
@@ -93,7 +97,7 @@ def simulate_with_policy(
 ) -> CapacityAwareOutcome:
     """Replay a policy's proposals through the cluster simulator."""
     reshaped, mean_delay = _reshaped_jobs(jobs, policy)
-    result = simulate_cluster(
+    result = simulate_cluster_columnar(
         reshaped, cluster, horizon_h=horizon_h, intensity=trace, pue=pue
     )
     return CapacityAwareOutcome(

@@ -23,7 +23,9 @@ key, and third-party backends plug in with :func:`register_backend`
 without touching core.  Batch sweeps go through
 :meth:`Session.run_many`, which shares memoized trace generation across
 scenarios and fans out over a process pool when a scenario selects
-``.executor("process", max_workers=N)``.
+``.executor("shared", max_workers=N)`` (``"process"`` is an alias):
+the parent writes each sweep seed's trace set once, and every worker
+memory-maps it.
 """
 
 from repro.session.registry import (

@@ -34,10 +34,11 @@ calling conventions, per kind:
     exposing the same schedule/metrics/accounting surface); discipline
     options arrive as extra optional keywords, threaded from
     ``Scenario.cluster(n, simulator=..., **opts)`` and the CLI's
-    ``--simulator-arg K=V``.  ``fcfs`` is the scalar FCFS-earliest-fit
-    oracle; ``fcfs-columnar`` (alias ``columnar``) is the event-driven
-    engine on ``JobBatch`` columns, byte-identical to the oracle and
-    ~10x faster; ``backfill`` (alias ``easy``) is EASY backfill —
+    ``--simulator-arg K=V``.  ``fcfs`` (aliases ``default``,
+    ``fcfs-columnar``, ``columnar``) is FCFS earliest fit on the
+    event-driven engine over ``JobBatch`` columns, pinned byte-identical
+    to the scalar oracle :func:`repro.cluster.simulate_cluster`, which
+    no key resolves to; ``backfill`` (alias ``easy``) is EASY backfill —
     queued jobs may start ahead of the head of the queue when doing so
     cannot delay the head's reservation; ``carbon-aware`` (alias
     ``green``) delays each job within its slack budget (``slack_h=``,
@@ -79,9 +80,11 @@ calling conventions, per kind:
     raising, calls ``on_unit_done(outcome)`` as each unit settles, and
     returns one outcome per unit in input order (see
     :mod:`repro.session.executors`).  An empty unit list must touch no
-    disk.  ``serial``, ``process``, and ``shared`` ship built-in; the
-    pooled engines take ``max_workers``, and ``shared`` additionally
-    ``store_dir``.
+    disk.  ``serial`` (alias ``inline``) and ``shared`` (aliases
+    ``process``, ``processes``, ``parallel``, ``shared-store``) ship
+    built-in; the pooled ``shared`` engine takes ``max_workers`` and
+    keeps its trace store in a temporary directory it removes when the
+    run ends.
 ``faults``
     ``factory(**opts) -> injector`` — a deterministic fault injector
     for chaos-testing resilient sweeps, exposing ``action(*, token,
@@ -94,15 +97,6 @@ calling conventions, per kind:
     ``delay_s`` / ``attempts``); ``scripted`` fails exactly the listed
     unit indices (``crash_at`` / ``error_at`` / ``corrupt_at`` /
     ``delay_at``).
-``sweep``
-    ``factory(**opts) -> service`` — a cache-aware sweep service
-    exposing ``plan(grid)`` and ``run(grid, ...) -> SweepOutcome`` over
-    a SweepSpec / spec mapping / spec path / Scenario list, results in
-    input order (see :mod:`repro.sweep.runner`).  ``cached`` (default)
-    takes ``cache_dir``/``disk``/``memory_slots``/``delta`` plus
-    executor defaults; ``direct`` is the cache-free variant.  Running
-    an empty grid must return an empty outcome without touching disk.
-
 **Which registry kinds feed which result sections.**  Section-level
 delta evaluation (:data:`repro.session.fingerprint.KNOB_SECTIONS`)
 reuses a cached section whenever none of its inputs changed, so a
@@ -114,7 +108,7 @@ backend author must know which sections their kind invalidates:
 carbon has no facility overhead); ``workload`` feeds ``scheduling`` +
 ``cluster``; ``policy`` feeds ``scheduling``; ``simulator`` feeds
 ``cluster``; the ``carbon`` rollup depends on all six.  ``renderer``,
-``report``, ``executor``, ``sweep``, and ``faults`` feed *no* section
+``report``, ``executor``, and ``faults`` feed *no* section
 — they shape presentation or execution, never results — which is
 exactly what makes delta re-runs of renderer/executor flips free.  A
 new backend whose options change a section's output MUST surface those
@@ -144,12 +138,11 @@ def load_builtin_backends(registry: "BackendRegistry") -> None:
     import repro.resilience as resilience
     import repro.scheduler as scheduler
     import repro.session.executors as executors
-    import repro.sweep as sweep
     import repro.workloads as workloads
 
     layers = (
         hardware, intensity, workloads, scheduler, cluster, accounting, power,
-        analysis, executors, sweep, resilience,
+        analysis, executors, resilience,
     )
     for layer in layers:
         layer.register_backends(registry)

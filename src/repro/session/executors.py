@@ -29,39 +29,41 @@ Built-ins:
   timer on the main thread.  An injected ``crash`` degrades to a raised
   :class:`~repro.resilience.InjectedFault`: killing the only process
   would abort the host, not simulate a lost worker.
-* ``process`` — one future per unit on a
+* ``shared`` (aliases ``process``, ``processes``, ``parallel``,
+  ``shared-store``) — one future per unit on a
   :class:`~concurrent.futures.ProcessPoolExecutor` of ``max_workers``
   workers (default: the CPU count; always a real pool, even with one
-  worker).  The pool initializer warms each worker's trace memo once
-  per sweep seed.  Attempts retry inside the worker, and an injected
-  ``crash`` is a real ``os._exit``.  When the pool breaks (an
-  OOM-killed or segfaulted worker), the engine rebuilds it and
-  re-dispatches only the unfinished units, each charged one attempt;
-  more than ``max_rebuilds`` rebuilds raise
-  :class:`~repro.core.errors.ResilienceError`.  A parent-side backstop
-  deadline fails a unit whose worker hangs past every in-worker
-  deadline, and an interrupt terminates the workers before cancelling
-  queued units, so no worker outlives the sweep.  Items and their
-  payloads must be picklable; registry-keyed scenarios always are.
-* ``shared`` — ``process``, but the parent first writes every sweep
-  seed's trace set to a :class:`~repro.sweep.store.SharedTraceStore`
-  and each worker attaches it, memory-mapping the traces instead of
-  regenerating them.  Window tables are not shared: each worker builds
-  them once into its own process-wide memo.
+  worker).  The parent first writes every sweep seed's trace set into a
+  :class:`~repro.sweep.store.SharedTraceStore` in a temporary directory
+  of its own, and each worker attaches it, memory-mapping the traces
+  instead of regenerating them; the directory is removed once the pool
+  is down, on every exit path.  Window tables are not shared: each
+  worker builds them once into its own process-wide memo.  Attempts
+  retry inside the worker, and an injected ``crash`` is a real
+  ``os._exit``.  When the pool breaks (an OOM-killed or segfaulted
+  worker), the engine rebuilds it and re-dispatches only the unfinished
+  units, each charged one attempt; more than ``max_rebuilds`` rebuilds
+  raise :class:`~repro.core.errors.ResilienceError`.  A parent-side
+  backstop deadline fails a unit whose worker hangs past every
+  in-worker deadline, and an interrupt terminates the workers before
+  cancelling queued units, so no worker outlives the sweep.  Items and
+  their payloads must be picklable; registry-keyed scenarios always
+  are.
 
 Results are deterministic per scenario seed (each Session draws a
 freshly seeded forecast stream), so every engine returns results equal
 to the same units run serially.
 
 Select an executor per sweep with
-``Scenario.executor("process", max_workers=N)`` on any swept scenario,
-or explicitly via ``Session.run_many(..., executor="process")``.
+``Scenario.executor("shared", max_workers=N)`` on any swept scenario,
+or explicitly via ``Session.run_many(..., executor="shared")``.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -85,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "SweepExecutor",
     "serial_executor",
-    "process_executor",
     "shared_executor",
     "register_backends",
 ]
@@ -120,26 +121,20 @@ def _sweep_seeds(items: Sequence[Any]) -> Tuple[int, ...]:
     return tuple(sorted(seeds))
 
 
-def _warm_worker(seeds: Tuple[int, ...]) -> None:
-    """Pool initializer: prime this worker's trace memo once per seed."""
-    from repro.intensity.generator import generate_all_traces
-
-    for seed in seeds:
-        generate_all_traces(seed=seed)
-
-
 def _attach_store_worker(store_dir: str, seeds: Tuple[int, ...]) -> None:
-    """Pool initializer: attach the shared trace store, then warm the memos.
+    """Pool initializer: attach the run's trace store, then warm the memo.
 
     With the store attached, ``generate_all_traces`` loads each seed's
     set from the parent's memory-mapped ``.npy`` file instead of
     re-running the generator.  The store holds traces only; the worker
     builds window tables into its own process-wide memo.
     """
+    from repro.intensity.generator import generate_all_traces
     from repro.sweep.store import SharedTraceStore
 
     SharedTraceStore(store_dir).attach()
-    _warm_worker(seeds)
+    for seed in seeds:
+        generate_all_traces(seed=seed)
 
 
 def _terminate_pool_workers(pool: ProcessPoolExecutor) -> None:
@@ -321,23 +316,42 @@ class _SerialEngine(_Engine):
 
 
 class _PoolEngine(_Engine):
-    """One future per unit on a rebuildable process pool."""
+    """One future per unit on a rebuildable process pool whose workers
+    attach a per-run shared trace store."""
 
     def __init__(self, max_workers: int) -> None:
         self.max_workers = max_workers
 
-    def _initializer(self, seeds: Tuple[int, ...]) -> Tuple[Callable, Tuple]:
-        return _warm_worker, (seeds,)
-
     def _run(self, units, policy, injector, max_rebuilds, on_unit_done):
-        initializer, initargs = self._initializer(
-            _sweep_seeds([unit.item for unit in units])
-        )
+        from repro.sweep.store import SharedTraceStore
+
+        seeds = _sweep_seeds([unit.item for unit in units])
+        # Leaving the block removes the store after _dispatch has shut
+        # the pool down, on every path out of it.  Cleanup errors are
+        # ignored so they cannot mask the run's own exception.
+        with tempfile.TemporaryDirectory(
+            prefix="repro-hpc-store-", ignore_cleanup_errors=True
+        ) as store_dir:
+            store = SharedTraceStore(store_dir)
+            for seed in seeds:
+                # Parent-side pre-warm: the files exist before any
+                # worker forks, so workers only ever mmap-attach.
+                store.ensure_traces(seed=seed)
+            return self._dispatch(
+                units, policy, injector, max_rebuilds, on_unit_done,
+                (store_dir, seeds),
+            )
+
+    def _dispatch(
+        self, units, policy, injector, max_rebuilds, on_unit_done, initargs
+    ):
         workers = min(self.max_workers, len(units))
 
         def _make_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
+                max_workers=workers,
+                initializer=_attach_store_worker,
+                initargs=initargs,
             )
 
         backstop = None
@@ -443,24 +457,6 @@ class _PoolEngine(_Engine):
         return ResilientRun(outcomes=outcomes, rebuilds=rebuilds)
 
 
-class _SharedPoolEngine(_PoolEngine):
-    """The pool engine over a shared memory-mapped trace store."""
-
-    def __init__(self, max_workers: int, store_dir=None) -> None:
-        super().__init__(max_workers)
-        self.store_dir = store_dir
-
-    def _initializer(self, seeds: Tuple[int, ...]) -> Tuple[Callable, Tuple]:
-        from repro.sweep.store import SharedTraceStore
-
-        store = SharedTraceStore(self.store_dir)
-        for seed in seeds:
-            # Parent-side pre-warm: the files exist before any worker
-            # forks, so workers only ever mmap-attach.
-            store.ensure_traces(seed=seed)
-        return _attach_store_worker, (str(store.directory), seeds)
-
-
 # --- factories --------------------------------------------------------------
 def _worker_count(max_workers) -> int:
     if max_workers is None:
@@ -475,28 +471,18 @@ def serial_executor(**_opts) -> SweepExecutor:
     return _SerialEngine()
 
 
-def process_executor(*, max_workers: int | None = None) -> SweepExecutor:
+def shared_executor(*, max_workers: int | None = None) -> SweepExecutor:
     """The process-pool engine: one future per unit, ``max_workers``
-    workers (default: the machine's CPU count)."""
-    return _PoolEngine(_worker_count(max_workers))
+    workers (default: the machine's CPU count).
 
-
-def shared_executor(
-    *, max_workers: int | None = None, store_dir=None
-) -> SweepExecutor:
-    """The process-pool engine backed by the shared trace store.
-
-    Like ``process``, but the parent writes every sweep seed's trace set
-    to memory-mapped ``.npy`` files under ``store_dir`` before the
-    workers start, and each worker attaches a
-    :class:`repro.sweep.store.SharedTraceStore` instead of regenerating
-    the traces.  Window tables stay per worker, in each worker's
-    process-wide memo.  ``store_dir`` defaults to
-    ``default_cache_dir() / "store"`` (``$REPRO_HPC_CACHE_DIR/store``,
-    else ``~/.cache/repro-hpc/store``), whatever ``cache_dir`` the
-    sweep service was given.
+    The parent writes every sweep seed's trace set to memory-mapped
+    ``.npy`` files in a temporary directory made for the run, and each
+    worker attaches a :class:`repro.sweep.store.SharedTraceStore` there
+    instead of regenerating the traces.  Window tables stay per worker,
+    in each worker's process-wide memo.  The directory is removed when
+    the run ends, however it ends.
     """
-    return _SharedPoolEngine(_worker_count(max_workers), store_dir)
+    return _PoolEngine(_worker_count(max_workers))
 
 
 def register_backends(registry) -> None:
@@ -508,8 +494,8 @@ def register_backends(registry) -> None:
     """
     registry.add("executor", "serial", serial_executor, aliases=("inline",))
     registry.add(
-        "executor", "process", process_executor, aliases=("processes", "parallel")
-    )
-    registry.add(
-        "executor", "shared", shared_executor, aliases=("shared-store",)
+        "executor",
+        "shared",
+        shared_executor,
+        aliases=("process", "processes", "parallel", "shared-store"),
     )

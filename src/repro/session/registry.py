@@ -54,7 +54,6 @@ BACKEND_KINDS: Tuple[str, ...] = (
     "renderer",
     "report",
     "executor",
-    "sweep",
     "faults",
 )
 

@@ -415,9 +415,10 @@ class Scenario:
     ) -> "Scenario":
         """``executor`` registry key for :meth:`Session.run_many` sweeps.
 
-        ``"serial"`` (default) runs scenarios in-process;
-        ``"process"`` submits each scenario as its own unit to a process
-        pool of ``max_workers`` workers with warmed trace memos.  The
+        ``"serial"`` (default) runs scenarios in-process; ``"shared"``
+        (alias ``"process"``) submits each scenario as its own unit to a
+        process pool of ``max_workers`` workers that memory-map the
+        sweep seeds' trace sets from a store the parent writes.  The
         first swept scenario carrying an explicit executor picks the
         engine for the whole sweep; an explicit ``executor=`` argument
         to ``run_many`` wins over any scenario knob.

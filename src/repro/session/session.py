@@ -815,76 +815,37 @@ class Session:
         assembled result serializes byte-identically to a full
         recompute; sections this run computed live ride back on
         ``result.fresh_sections`` for the caller to write through
-        (``run(reuse=...)`` itself never writes to the cache).
+        (``run(reuse=...)`` itself never writes to the cache).  Without
+        ``reuse``, or for a scenario whose knobs carry no stable
+        identity (``provenance_hash`` is then ``None``), every section
+        runs live and ``fresh_sections`` stays ``None``.
+
+        Sections the rollup needs *live* — their non-serialized ledgers
+        feed ``_run_carbon`` — are forced to run whenever the rollup
+        itself is stale: scheduling (the primary account's evaluations
+        and per-job embodied proration) and upgrade (its by-policy
+        ledger rows).  Everything else rebuilds from its ``to_dict``
+        payload, which is all the rollup reads from it.
         """
         if self._result is not None:
             return self._result
-        if reuse is not None:
-            result = self._run_delta(reuse)
-            if result is not None:
-                object.__setattr__(self, "_result", result)
-                return result
-        from repro.core.errors import SweepError
-
-        try:
-            fingerprint = self.fingerprint()
-        except SweepError:
-            fingerprint = None  # uncacheable knobs: run, but don't key
-        s = self._scenario
-        jobs = self._jobs() if s._workload is not None else []
-        embodied = self._run_embodied()
-        audit = self._run_audit()
-        training = self._run_training()
-        scheduling = self._run_scheduling(jobs)
-        cluster, cluster_sim = self._run_cluster(jobs)
-        upgrade, upgrade_decision = self._run_upgrade()
-        result = ScenarioResult(
-            name=self._name,
-            region=s._region,
-            seed=s._seed,
-            embodied=embodied,
-            audit=audit,
-            training=training,
-            scheduling=scheduling,
-            cluster=cluster,
-            upgrade=upgrade,
-            carbon=self._run_carbon(
-                jobs, embodied, audit, training, scheduling, cluster,
-                cluster_sim, upgrade_decision,
-            ),
-            provenance=self.provenance,
-            provenance_hash=fingerprint,
-        )
-        object.__setattr__(self, "_result", result)
-        return result
-
-    def _run_delta(self, reuse) -> Optional[ScenarioResult]:
-        """Assemble the result from cached sections, running only stale ones.
-
-        Returns ``None`` for uncacheable scenarios (the caller falls
-        back to the full path).  Sections the rollup needs *live* —
-        their non-serialized ledgers feed ``_run_carbon`` — are forced
-        to run whenever the rollup itself is stale: scheduling (the
-        primary account's evaluations and per-job embodied proration)
-        and upgrade (its by-policy ledger rows).  Everything else
-        rebuilds from its ``to_dict`` payload, which is all the rollup
-        reads from it.
-        """
         from repro.core.errors import SweepError
         from repro.session.fingerprint import RESULT_SECTIONS
         from repro.session.result import load_section
 
         try:
-            fps = self.section_fingerprints()
             fingerprint = self.fingerprint()
+            # Only a cache lookup needs the per-section keys.
+            fps = self.section_fingerprints() if reuse is not None else None
         except SweepError:
-            return None
+            fingerprint = fps = None  # uncacheable knobs: run, but don't key
         s = self._scenario
         cached: Dict[str, Any] = {}
-        for name in RESULT_SECTIONS:
-            hit, payload = reuse.get_section(name, fps[name])
-            if hit:
-                cached[name] = payload
+        if fps is not None:
+            for name in RESULT_SECTIONS:
+                hit, payload = reuse.get_section(name, fps[name])
+                if hit:
+                    cached[name] = payload
         live = {name for name in RESULT_SECTIONS if name not in cached}
         if "carbon" in live:
             if s._workload is not None:
@@ -946,31 +907,29 @@ class Session:
             "upgrade": upgrade,
             "carbon": carbon,
         }
-        fresh = {
-            name: (
-                fps[name],
-                None
-                if sections[name] is None
-                else ScenarioResult._plain(sections[name]),
-            )
-            for name in live
-            if name not in cached  # force-recomputed hits need no write
-        }
-        return ScenarioResult(
+        fresh = None
+        if fps is not None:
+            fresh = {
+                name: (
+                    fps[name],
+                    None
+                    if sections[name] is None
+                    else ScenarioResult._plain(sections[name]),
+                )
+                for name in live
+                if name not in cached  # force-recomputed hits need no write
+            }
+        result = ScenarioResult(
             name=self._name,
             region=s._region,
             seed=s._seed,
-            embodied=embodied,
-            audit=audit,
-            training=training,
-            scheduling=scheduling,
-            cluster=cluster,
-            upgrade=upgrade,
-            carbon=carbon,
             provenance=self.provenance,
             provenance_hash=fingerprint,
             fresh_sections=fresh,
+            **sections,
         )
+        object.__setattr__(self, "_result", result)
+        return result
 
     def render(self, result: Optional[ScenarioResult] = None) -> str:
         """Run (if needed) and render through the scenario's renderer."""
@@ -992,7 +951,8 @@ class Session:
         All sessions draw their trace sets from the module-level memo in
         :mod:`repro.intensity.generator`, so sweeping N regions × M
         policies generates each unique seed's traces exactly once (the
-        ``process`` executor warms the same memo once per worker).
+        pooled ``shared`` executor maps one trace store into every
+        worker).
         Results come back in input order; each scenario still gets its
         own freshly seeded forecast stream, so a batch run of a scenario
         equals its standalone run — with any executor.  A scenario that

@@ -5,8 +5,7 @@ The subsystem behind ``repro-hpc sweep``: declarative grid specs
 (:func:`plan_sweep`), a provenance-keyed result cache
 (:class:`ResultCache`), a memory-mapped shared trace store for process
 workers (:class:`SharedTraceStore`), and the :class:`SweepService` that
-ties them together.  Services construct through the registry's
-``sweep`` kind (``cached`` by default, ``direct`` for cache-free runs).
+ties them together (``SweepService(cache=False)`` for cache-free runs).
 """
 
 from repro.sweep.cache import (
@@ -16,14 +15,7 @@ from repro.sweep.cache import (
     default_cache_dir,
 )
 from repro.sweep.planner import SweepPlan, WorkUnit, plan_sweep
-from repro.sweep.runner import (
-    SweepOutcome,
-    SweepReport,
-    SweepService,
-    cached_sweep_service,
-    direct_sweep_service,
-    register_backends,
-)
+from repro.sweep.runner import SweepOutcome, SweepReport, SweepService
 from repro.sweep.spec import SweepSpec, load_spec_mapping
 from repro.sweep.store import SharedTraceStore
 
@@ -38,10 +30,7 @@ __all__ = [
     "SweepService",
     "SweepSpec",
     "WorkUnit",
-    "cached_sweep_service",
     "default_cache_dir",
-    "direct_sweep_service",
     "load_spec_mapping",
     "plan_sweep",
-    "register_backends",
 ]

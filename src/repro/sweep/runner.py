@@ -1,8 +1,8 @@
 """The sweep service: plan, look up, run, cache.
 
-:class:`SweepService` is what the ``sweep`` registry kind constructs —
-``cached`` (the default, result cache on) and ``direct`` (cache off,
-still deduplicated) are thin factory variants.  A run is:
+:class:`SweepService` runs declarative grids with the result cache on
+by default; ``SweepService(cache=False)`` still deduplicates but
+recomputes every unique cell.  A run is:
 
 1. **normalize** — a :class:`~repro.sweep.spec.SweepSpec`, a spec
    mapping, a spec file path, or an explicit Scenario/Session list all
@@ -12,8 +12,8 @@ still deduplicated) are thin factory variants.  A run is:
 3. **look up** — each cacheable unit checks the provenance-keyed
    :class:`~repro.sweep.cache.ResultCache` first;
 4. **run** — the remaining units go, in one call, to the engine the
-   ``executor`` registry builds (serial by default; ``process`` /
-   ``shared`` fan out one future per unit), the same engines
+   ``executor`` registry builds (serial by default; ``shared``, alias
+   ``process``, fans out one future per unit), the same engines
    :meth:`Session.run_many` runs through, so serial sweep results are
    byte-identical to ``run_many``'s output;
 5. **cache** — fresh results are written back under their fingerprints
@@ -56,9 +56,6 @@ __all__ = [
     "SweepOutcome",
     "SweepReport",
     "SweepService",
-    "cached_sweep_service",
-    "direct_sweep_service",
-    "register_backends",
 ]
 
 #: What a run may be asked to sweep.
@@ -676,28 +673,3 @@ class SweepService:
             return
         for name, (fingerprint, payload) in fresh.items():
             self._cache.put_section(name, fingerprint, payload)
-
-
-def cached_sweep_service(**opts) -> SweepService:
-    """The default ``sweep`` backend: dedup + provenance-keyed cache."""
-    return SweepService(**opts)
-
-
-def direct_sweep_service(**opts) -> SweepService:
-    """The cache-free variant: dedup only, every unique cell recomputes."""
-    return SweepService(cache=False, **opts)
-
-
-def register_backends(registry) -> None:
-    """Self-register the built-in sweep services.
-
-    A ``sweep`` backend is a factory ``(**opts) -> service`` exposing
-    ``plan(grid)`` and ``run(grid, ...) -> SweepOutcome`` over a
-    SweepSpec / spec mapping / spec path / Scenario list, with results
-    in input order.  ``run`` of an empty grid must return an empty
-    outcome without touching disk.
-    """
-    registry.add("sweep", "cached", cached_sweep_service, aliases=("default",))
-    registry.add(
-        "sweep", "direct", direct_sweep_service, aliases=("nocache", "no-cache")
-    )

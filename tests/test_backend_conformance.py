@@ -296,21 +296,6 @@ def _check_executor(key, factory, ctx):
     assert run.outcomes == () and run.rebuilds == 0
 
 
-def _check_sweep(key, factory, ctx):
-    from repro.sweep.planner import SweepPlan
-    from repro.sweep.runner import SweepOutcome
-
-    service = factory()  # construction must touch no disk
-    plan = service.plan([])
-    assert isinstance(plan, SweepPlan)
-    assert plan.n_cells == 0 and plan.n_unique == 0
-    outcome = service.run([])
-    assert isinstance(outcome, SweepOutcome)
-    assert outcome.results == ()
-    assert outcome.n_cells == 0 and outcome.n_ran == 0
-    assert outcome.stats.hits == 0 and outcome.stats.misses == 0
-
-
 def _check_faults(key, factory, ctx):
     import pickle
 
@@ -343,7 +328,6 @@ _CHECKERS = {
     "renderer": _check_renderer,
     "report": _check_report,
     "executor": _check_executor,
-    "sweep": _check_sweep,
     "faults": _check_faults,
 }
 

@@ -1,7 +1,7 @@
 """Columnar engine parity pins and backfill discipline semantics.
 
-``fcfs-columnar`` (:mod:`repro.cluster.engine`) is a pure performance
-feature: every observable — the (job, node, start) schedule, the busy
+The ``fcfs`` simulator (:mod:`repro.cluster.engine`, also keyed
+``fcfs-columnar``) is a pure performance feature: every observable — the (job, node, start) schedule, the busy
 GPU-hours array, energy, carbon, and the attached ledger — must be
 **byte-identical** to the scalar oracle
 :func:`repro.cluster.simulator.simulate_cluster`.  These tests pin that
@@ -321,9 +321,6 @@ def test_registry_keys_resolve_to_engine():
     assert {
         "fcfs", "fcfs-columnar", "backfill", "carbon-aware", "power-cap"
     } <= keys
-    assert resolve_backend("simulator", "columnar") is resolve_backend(
-        "simulator", "fcfs-columnar"
-    )
     assert resolve_backend("simulator", "easy") is resolve_backend(
         "simulator", "backfill"
     )
@@ -335,28 +332,40 @@ def test_registry_keys_resolve_to_engine():
     )
 
 
+@pytest.mark.parametrize("key", ["fcfs", "default", "fcfs-columnar", "columnar"])
+def test_fcfs_keys_run_the_columnar_engine(key):
+    """Every FCFS spelling runs the columnar engine; no key reaches the
+    scalar oracle, which stays a test fixture."""
+    assert resolve_backend("simulator", key) is simulate_cluster_columnar
+
+
 def test_scenario_discipline_sweep_byte_identical_fcfs():
-    """Through the facade: fcfs vs fcfs-columnar agree on every metric."""
+    """Through the facade: the ``fcfs`` cluster section equals the scalar
+    oracle run directly on the session's own jobs, trace and PUE."""
     from repro import Scenario
 
-    def run(sim):
-        return (
-            Scenario()
-            .node("A100")
-            .region("ESO")
-            .workload("synthetic", horizon_h=48.0, total_gpus=8)
-            .cluster(2, simulator=sim)
-            .seed(7)
-            .run()
-            .cluster
-        )
-
-    ref, col = run("fcfs"), run("fcfs-columnar")
+    session = (
+        Scenario()
+        .node("A100")
+        .region("ESO")
+        .workload("synthetic", horizon_h=48.0, total_gpus=8)
+        .cluster(2, simulator="fcfs")
+        .seed(7)
+        .build()
+    )
+    col = session.run().cluster
+    ref = simulate_cluster(
+        session._jobs(),
+        Cluster(resolve_backend("node", "A100")(), 2),
+        horizon_h=48.0,
+        intensity=session.service.trace("ESO"),
+        pue=session._pue_resolved,
+    )
     assert col.n_jobs == ref.n_jobs
     assert col.ic_energy_kwh == ref.ic_energy_kwh
     assert col.carbon_g == ref.carbon_g
-    assert col.mean_wait_h == ref.mean_wait_h
-    assert col.average_usage == ref.average_usage
+    assert col.mean_wait_h == ref.mean_wait_h()
+    assert col.average_usage == ref.average_usage()
 
 
 # --- carbon-aware discipline -------------------------------------------------

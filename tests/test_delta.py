@@ -308,7 +308,22 @@ class TestDeltaAssembly:
         cache = ResultCache(tmp_path / "c")
         result = scenario.build().run(reuse=cache)
         assert result.fresh_sections is None  # full path: no delta ran
+        assert result.fingerprint() is None
         assert _canon(result) == _canon(scenario.build().run())
+
+    def test_plain_run_computes_no_section_keys(self, monkeypatch):
+        """Without ``reuse`` nothing is looked up: no section fingerprints
+        and no fresh payloads, but the whole-result key is stamped."""
+        from repro.session import Session
+
+        def refuse(self):
+            raise AssertionError("section fingerprints computed without reuse")
+
+        expected = _scenario().build().fingerprint()
+        monkeypatch.setattr(Session, "section_fingerprints", refuse)
+        result = _scenario().build().run()
+        assert result.fresh_sections is None
+        assert result.fingerprint() == expected
 
     def test_load_section_rejects_unknown_name(self):
         with pytest.raises(KeyError):

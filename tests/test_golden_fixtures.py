@@ -115,16 +115,37 @@ def test_cluster_scenario_matches_golden(update_golden):
 
 
 def test_cluster_golden_is_simulator_invariant_for_fcfs():
-    """The engine pin doubles as a parity pin: the scalar oracle must
-    produce the same cluster section, number for number."""
+    """The engine pin doubles as a parity pin: the scalar oracle, run
+    directly on the fixture's workload, cluster, trace and PUE, must
+    reproduce the committed cluster section, number for number."""
+    from repro.cluster import Cluster, simulate_cluster
+    from repro.intensity import CarbonIntensityService
+    from repro.session import resolve_backend
+    from repro.workloads.sources import generate_workload
+
     path = GOLDEN_DIR / "scenario-cluster-fcfs_columnar.json"
-    committed = json.loads(path.read_text(encoding="utf-8"))
-    oracle = _build_cluster().cluster(2, simulator="fcfs").run().to_dict()
-    committed_cluster = dict(committed["cluster"])
-    oracle_cluster = dict(oracle["cluster"])
-    assert committed_cluster.pop("simulator") == "fcfs-columnar"
-    assert oracle_cluster.pop("simulator") == "fcfs"
-    assert oracle_cluster == committed_cluster
+    committed = json.loads(path.read_text(encoding="utf-8"))["cluster"]
+    jobs = generate_workload(
+        WorkloadParams(horizon_h=48.0, total_gpus=8, home_region="ESO"),
+        seed=11,
+    )
+    oracle = simulate_cluster(
+        jobs,
+        Cluster(resolve_backend("node", "V100")(), 2),
+        horizon_h=48.0,
+        intensity=CarbonIntensityService(seed=7).trace("ESO"),
+        pue=_GOLDEN_PUE,
+    )
+    assert committed == {
+        "simulator": "fcfs-columnar",
+        "n_nodes": 2,
+        "horizon_h": 48.0,
+        "n_jobs": oracle.n_jobs,
+        "ic_energy_kwh": oracle.ic_energy_kwh,
+        "carbon_g": oracle.carbon_g,
+        "average_usage": oracle.average_usage(),
+        "mean_wait_h": oracle.mean_wait_h(),
+    }
 
 
 def _build_cluster_carbon_aware() -> Scenario:

@@ -714,13 +714,13 @@ class TestOnePath:
         assert (type(raised.value), str(raised.value)) == expected
 
     def test_unpicklable_worker_error_fails_as_a_resilience_error(self):
-        from repro.session.executors import process_executor
+        from repro.session.executors import shared_executor
 
         unit = ResilientUnit(
             item=_LocalErrorItem(), index=0, indices=(0,), name="c",
             fingerprint=None,
         )
-        run = process_executor(max_workers=1)([unit])
+        run = shared_executor(max_workers=1)([unit])
         (outcome,) = run.outcomes
         assert outcome.failure.error_type == "LocalError"
         assert outcome.error is None
@@ -811,9 +811,29 @@ class _StubPool:
         self.events.append(("terminate", None))
 
 
+class _StuckFuture:
+    """A future whose worker never answers, even past the backstop."""
+
+    def result(self, timeout=None):
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
+        raise FutureTimeoutError()
+
+    def cancel(self):
+        return False
+
+
+class _StuckPool(_StubPool):
+    def __init__(self):
+        super().__init__(error=None)
+
+    def submit(self, fn, *args):
+        return _StuckFuture()
+
+
 class TestInterrupts:
     @staticmethod
-    def _run_on(pool, monkeypatch):
+    def _run_on(pool, monkeypatch, policy=None):
         import repro.session.executors as executors
 
         monkeypatch.setattr(
@@ -823,11 +843,34 @@ class TestInterrupts:
             item=_cell("ESO"), index=0, indices=(0,), name="c",
             fingerprint=None,
         )
-        executors.process_executor(max_workers=1)([unit])
+        return executors.shared_executor(max_workers=1)([unit], policy=policy)
+
+    @staticmethod
+    def _private_tmpdir(tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_stuck_worker_is_terminated_and_its_store_removed(
+        self, monkeypatch, tmp_path
+    ):
+        scratch = self._private_tmpdir(tmp_path, monkeypatch)
+        pool = _StuckPool()
+        run = self._run_on(pool, monkeypatch, policy={"unit_timeout_s": 1.0})
+        (outcome,) = run.outcomes
+        assert outcome.failure.kind == "timeout"
+        assert "backstop" in outcome.failure.message
+        assert pool.events == [
+            ("terminate", None),
+            ("shutdown", {"wait": False, "cancel_futures": True}),
+        ]
+        assert list(scratch.iterdir()) == []
 
     def test_pool_engine_terminates_then_cancels_on_interrupt(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
+        scratch = self._private_tmpdir(tmp_path, monkeypatch)
         pool = _StubPool(KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             self._run_on(pool, monkeypatch)
@@ -837,6 +880,7 @@ class TestInterrupts:
             ("terminate", None),
             ("shutdown", {"wait": False, "cancel_futures": True}),
         ]
+        assert list(scratch.iterdir()) == []  # the trace store is gone
 
     def test_pool_engine_plain_errors_do_not_terminate(self, monkeypatch):
         pool = _StubPool(ValueError("a worker raised"))

@@ -472,7 +472,7 @@ class TestSweepService:
         assert first.n_ran == 1 and second.n_ran == 1
         assert first.results[0].fingerprint() is None
 
-    def test_shared_executor_results_match_serial(self, tmp_path):
+    def test_shared_executor_results_match_serial(self):
         import os
 
         from repro.resilience import ResilientUnit
@@ -480,8 +480,7 @@ class TestSweepService:
 
         reference = Session.run_many(_matrix_cells())
         engine = resolve_backend("executor", "shared")(
-            max_workers=min(2, os.cpu_count() or 1),
-            store_dir=tmp_path / "store",
+            max_workers=min(2, os.cpu_count() or 1)
         )
         run = engine(
             [
@@ -496,6 +495,27 @@ class TestSweepService:
         results = [outcome.result for outcome in run.outcomes]
         for ref, got in zip(reference, results):
             assert _serialize(got) == _serialize(ref)
+
+    @pytest.mark.parametrize("executor", ["process", "shared"])
+    def test_pooled_run_leaves_no_files_behind(
+        self, executor, tmp_path, monkeypatch
+    ):
+        """The pool keeps its trace store in a temporary directory of its
+        own and removes it: nothing lands under TMPDIR or the cache home."""
+        import tempfile
+
+        scratch, home = tmp_path / "tmp", tmp_path / "home"
+        scratch.mkdir()
+        home.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        monkeypatch.setenv("REPRO_HPC_CACHE_DIR", str(home))
+        (result,) = Session.run_many(
+            [_cell(*_MATRIX[0])], executor=executor, max_workers=1
+        )
+        assert _serialize(result) == _serialize(_cell(*_MATRIX[0]).run())
+        assert list(scratch.iterdir()) == []
+        assert list(home.iterdir()) == []
 
 
 # --- SWF output round trip ---------------------------------------------------
